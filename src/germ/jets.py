@@ -134,14 +134,13 @@ class JetRing:
         if self.ideal_basis is None or not coeffs:
             return coeffs
         out = dict(coeffs)
-        for row, pivot in zip(self.ideal_basis.rows, self.ideal_basis.pivots):
+        basis = self.ideal_basis
+        for row, pivot in zip(basis.sparse_rows, basis.pivots):
             pmon = self.monomials[pivot]
             c = out.get(pmon)
             if c is None or c.is_zero():
                 continue
-            for j, r in enumerate(row):
-                if r.is_zero():
-                    continue
+            for j, r in row:
                 mon = self.monomials[j]
                 val = out.get(mon, self._zero_scalar()) - c * self.domain.embed_base(r)
                 if val.is_zero():
@@ -489,70 +488,90 @@ def _embed_coeff(c, source: JetRing, target: JetRing):
 # -- exact linear algebra ---------------------------------------------------
 
 def rref(rows: Iterable[Sequence], field: Field):
-    """Reduced row echelon form with leading-1 pivots; returns (rows, pivots)."""
-    work = [list(r) for r in rows]
-    pivots = []
-    reduced = []
-    ncols = len(work[0]) if work else 0
-    col = 0
-    while work and col < ncols:
-        pivot_row = None
-        for r in work:
-            if not r[col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            col += 1
+    """Reduced row echelon form with leading-1 pivots; returns (rows, pivots).
+
+    Takes and returns dense rows, but works on nonzero entries only: each
+    row becomes a ``{column: value}`` dict and is reduced, as it arrives,
+    against the pivot rows found so far, which stay reduced against each
+    other.  The RREF of a matrix over a field is unique, so neither the
+    row order nor the elimination order shows in the result.
+    """
+    ncols = 0
+    basis = {}  # pivot column -> row with a leading 1 there
+    for dense in rows:
+        ncols = len(dense)
+        row = {j: c for j, c in enumerate(dense) if not c.is_zero()}
+        # pivot rows vanish on each other's pivot columns, so subtracting
+        # one leaves the row's other pivot entries as they were
+        for p in [p for p in row if p in basis]:
+            _axpy(row, -row[p], basis[p])
+        if not row:
             continue
-        work.remove(pivot_row)
-        inv = pivot_row[col].inverse()
-        pivot_row = [c * inv for c in pivot_row]
-        for r in work:
-            c = r[col]
-            if not c.is_zero():
-                for j in range(col, ncols):
-                    if not pivot_row[j].is_zero():
-                        r[j] = r[j] - c * pivot_row[j]
-        for r in reduced:
-            c = r[col]
-            if not c.is_zero():
-                for j in range(col, ncols):
-                    if not pivot_row[j].is_zero():
-                        r[j] = r[j] - c * pivot_row[j]
-        reduced.append(pivot_row)
-        pivots.append(col)
-        col += 1
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    return [tuple(reduced[i]) for i in order], [pivots[i] for i in order]
+        col = min(row)
+        inv = row[col].inverse()
+        row = {j: c * inv for j, c in row.items()}
+        for other in basis.values():
+            c = other.get(col)
+            if c is not None:
+                _axpy(other, -c, row)
+        basis[col] = row
+    pivots = sorted(basis)
+    reduced = []
+    for p in pivots:
+        dense = [field.zero] * ncols
+        for j, c in basis[p].items():
+            dense[j] = c
+        reduced.append(tuple(dense))
+    return reduced, pivots
+
+
+def _axpy(row: dict, a, other: dict):
+    """row += a * other on sparse rows, dropping entries that cancel."""
+    for j, c in other.items():
+        old = row.get(j)
+        val = a * c if old is None else old + a * c
+        if val.is_zero():
+            del row[j]
+        else:
+            row[j] = val
+
+
+def _nonzeros(row: Sequence):
+    """The ``(column, value)`` pairs of a dense row's nonzero entries."""
+    return [(j, c) for j, c in enumerate(row) if not c.is_zero()]
 
 
 def reduce_vec(vec: Sequence, rows, pivots, field: Field):
-    """Reduce ``vec`` against RREF rows; returns (residual, coords)."""
+    """Reduce ``vec`` against RREF rows given by their nonzero
+    ``(column, value)`` pairs (see ``_nonzeros``); returns (residual, coords)."""
     v = list(vec)
     coords = []
     for row, pivot in zip(rows, pivots):
         c = v[pivot]
         coords.append(c)
         if not c.is_zero():
-            for j, r in enumerate(row):
-                if not r.is_zero():
-                    v[j] = v[j] - c * r
+            neg = -c
+            for j, r in row:
+                v[j] = v[j] + neg * r
     return v, coords
+
 
 def nullspace(rows: Iterable[Sequence], ncols: int, field: Field):
     """Kernel basis of the linear map given by ``rows`` acting on k^ncols."""
     reduced, pivots = rref(rows, field)
     pivot_set = set(pivots)
-    free = [j for j in range(ncols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        vec = [field.zero] * ncols
-        vec[f] = field.one
-        for row, pivot in zip(reduced, pivots):
-            if not row[f].is_zero():
-                vec[pivot] = -row[f]
-        basis.append(tuple(vec))
-    return basis
+    kernel = {}
+    for f in range(ncols):
+        if f not in pivot_set:
+            kernel[f] = [field.zero] * ncols
+            kernel[f][f] = field.one
+    # an RREF row is zero on the other pivot columns, so each of its
+    # nonzeros off its own pivot sits in a free column
+    for row, pivot in zip(reduced, pivots):
+        for f, c in _nonzeros(row):
+            if f != pivot:
+                kernel[f][pivot] = -c
+    return [tuple(vec) for vec in kernel.values()]
 
 
 def solve_columns(cols: Sequence[Sequence], target: Sequence, field: Field):
@@ -633,6 +652,7 @@ class SubspaceBasis:
         self.context = context
         self.rows = rows
         self.pivots = pivots
+        self._sparse_rows = None
 
     @classmethod
     def span(cls, context: VectorContext, vectors):
@@ -643,15 +663,23 @@ class SubspaceBasis:
     def rank(self) -> int:
         return len(self.rows)
 
+    @property
+    def sparse_rows(self):
+        """Each row as the ``(position, value)`` pairs of its nonzeros."""
+        if self._sparse_rows is None:
+            self._sparse_rows = [_nonzeros(row) for row in self.rows]
+        return self._sparse_rows
+
     def membership(self, vec):
         """Coordinates of ``vec`` in this basis, or None if outside."""
-        residual, coords = reduce_vec(vec, self.rows, self.pivots, self.context.ring.field)
+        residual, coords = reduce_vec(vec, self.sparse_rows, self.pivots,
+                                      self.context.ring.field)
         if any(not c.is_zero() for c in residual):
             return None
         return coords
 
     def residual(self, vec):
-        res, _ = reduce_vec(vec, self.rows, self.pivots, self.context.ring.field)
+        res, _ = reduce_vec(vec, self.sparse_rows, self.pivots, self.context.ring.field)
         return res
 
     def contains(self, vec) -> bool:
@@ -660,28 +688,38 @@ class SubspaceBasis:
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         return all(self.contains(row) for row in other.rows)
 
-    def intersect_positions(self, allowed: set) -> "SubspaceBasis":
-        """Intersection with the coordinate subspace supported on ``allowed``.
+    def graded_intersections(self, grades: Sequence):
+        """Intersections with the coordinate subspaces {grade >= d}, for every d.
 
-        Reorders columns so the disallowed ones come first; after row
-        reduction, the rows with pivots inside ``allowed`` span exactly the
-        vectors of the subspace supported there.
+        ``grades`` holds one grade per vector position.  With the columns
+        ordered by increasing grade, each {grade < d} block is a prefix, so
+        one row reduction serves every d: the rows whose pivot has grade
+        >= d span the vectors of this subspace supported on {grade >= d}.
+        Returns ``part(d)``, which puts those rows back in the original
+        column order and reduces them again, so each part has its
+        canonical basis.
         """
         dim = self.context.dim
-        outside = [j for j in range(dim) if j not in allowed]
-        inside = [j for j in range(dim) if j in allowed]
-        perm = outside + inside
+        field = self.context.ring.field
+        perm = sorted(range(dim), key=lambda j: grades[j])
         inv = [0] * dim
         for newpos, old in enumerate(perm):
             inv[old] = newpos
-        shuffled = [[row[perm[j]] for j in range(dim)] for row in self.rows]
-        reduced, pivots = rref(shuffled, self.context.ring.field)
-        keep = []
-        for row, pivot in zip(reduced, pivots):
-            if pivot >= len(outside):
-                keep.append(tuple(row[inv[j]] for j in range(dim)))
-        rows, pivots = rref(keep, self.context.ring.field)
-        return SubspaceBasis(self.context, rows, pivots)
+        shuffled = [[row[old] for old in perm] for row in self.rows]
+        reduced, pivots = rref(shuffled, field)
+        graded = [(grades[perm[pivot]], tuple(row[inv[j]] for j in range(dim)))
+                  for row, pivot in zip(reduced, pivots)]
+
+        def part(d) -> "SubspaceBasis":
+            rows, pivots = rref([row for g, row in graded if g >= d], field)
+            return SubspaceBasis(self.context, rows, pivots)
+
+        return part
+
+    def intersect_positions(self, allowed: set) -> "SubspaceBasis":
+        """Intersection with the coordinate subspace supported on ``allowed``."""
+        grades = [1 if j in allowed else 0 for j in range(self.context.dim)]
+        return self.graded_intersections(grades)(1)
 
     def basis_jets(self):
         return [self.context.to_jets(row) for row in self.rows]

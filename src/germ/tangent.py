@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .jets import (
     Jet, JetRing, Filtration, VectorContext, SubspaceBasis,
-    rref, nullspace, solve_columns,
+    ideal_span, nullspace, solve_columns,
 )
 from .germs import (
     MapGerm, GroupElement, RightAut, LeftAut, LRPair, Contact, ContactPair,
@@ -433,7 +433,7 @@ def der_log(ring: JetRing, include_constants: bool = True):
         return [DerVector(raw, [raw.jet({mon: raw.domain.one}) if l == i else raw.zero
                                 for l in range(raw.nx)])
                 for mon, i in cands]
-    span = _ideal_span_basis(raw, gens)
+    span = ideal_span(gens, raw)
     ctx = VectorContext(raw, 1)
     rows = []
     per_gen_images = []
@@ -455,18 +455,6 @@ def der_log(ring: JetRing, include_constants: bool = True):
                 comps[i] = comps[i] + raw.jet({mon: raw.domain.one}).scale(c)
         out.append(DerVector(raw, comps))
     return out
-
-
-def _ideal_span_basis(ring: JetRing, gens) -> SubspaceBasis:
-    ctx = VectorContext(ring, 1)
-    rows = []
-    for g in gens:
-        for mon in ring.monomials:
-            prod = g * ring.monomial(mon)
-            if not prod.is_zero():
-                rows.append(ctx.to_vec(prod))
-    reduced, pivots = rref(rows, ring.field)
-    return SubspaceBasis(ctx, reduced, pivots)
 
 
 # -- candidate generation with level filters --------------------------------
@@ -878,19 +866,24 @@ def comparison_bound(tag: str, f: MapGerm, j: int, filt: Filtration) -> Comparis
     Certified by exhibiting coordinates for each basis vector of the
     intersection.  For the paired left-right group the map must have
     positive filtration order, otherwise target-side orders degenerate.
+
+    The search runs up to ``filt.vanishing_depth()`` inclusive.  At that
+    depth no full-tangent image of order >= d survives the truncation, so
+    the inclusion holds with zero certificates: the search always succeeds,
+    and a bound equal to the vanishing depth is least only vacuously,
+    saying nothing inside the jet window.  The ``bound=None`` outcome with
+    a witness cannot occur.
     """
     if tag == "LR" and filt.order_of(f.components) < 1:
         raise TangentError("the map must have positive filtration order")
     frame0 = tangent_space(tag, f, 0, filt)
     framej = tangent_space(tag, f, j, filt)
     ctx = frame0.context
-    source = f.source
-    top = filt.vanishing_depth()
+    grades = [filt.mon_order(mon) for _ in range(ctx.ncomp) for mon in ctx.ring.monomials]
+    order_at_least = frame0.basis.graded_intersections(grades)
     witness = None
-    for d in range(1, top + 1):
-        monset = {mon for mon in source.monomials if filt.mon_order(mon) >= d}
-        allowed = ctx.positions_in(monset)
-        inter = frame0.basis.intersect_positions(allowed)
+    for d in range(1, filt.vanishing_depth() + 1):
+        inter = order_at_least(d)
         certs = []
         good = True
         for row in inter.rows:

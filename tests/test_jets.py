@@ -1,7 +1,11 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from sympy import GF, QQ
+from sympy.polys.matrices import DomainMatrix
 
 from germ.exactfield import make_field
 from germ.jets import (
@@ -15,11 +19,13 @@ from germ.jets import (
     jet_to_json,
     membership,
     nullspace,
+    rref,
     solve_columns,
 )
 
 Q = make_field("Q")
 F3 = make_field("F3")
+F5 = make_field("F5")
 
 
 def test_truncated_arithmetic_and_printing():
@@ -182,3 +188,116 @@ def test_json_round_trip():
     data = jet_to_json(j)
     assert data == {"x": "1", "x*y": "2", "y^2": "1"}
     assert jet_from_json(R3, data) == j
+
+
+# -- exact linear algebra against sympy's DomainMatrix ----------------------
+
+# Entries are drawn as (numerator, denominator) pairs, read in Q or F5;
+# duplicates, zero rows and sums of rows are mixed in so that rank
+# deficiency is common.
+ENTRIES = st.tuples(st.sampled_from([0, 0, 0, 1, -1, 2, 3, -4]),
+                    st.sampled_from([1, 1, 2, 3]))
+
+
+@st.composite
+def matrices(draw, min_cols=0):
+    field = draw(st.sampled_from([Q, F5]))
+    ncols = draw(st.integers(min_cols, 6))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "sum"]), max_size=2)):
+        if kind == "zero" or not rows:
+            rows.append([(0, 1)] * ncols)
+        elif kind == "dup":
+            rows.insert(draw(st.integers(0, len(rows))), rows[-1])
+        else:
+            rows.append([(a * d + b * c, c * d) for (a, c), (b, d) in zip(rows[0], rows[-1])])
+    return field, ncols, [[_scalar(field, e) for e in row] for row in rows]
+
+
+def _scalar(field, entry):
+    num, den = entry
+    return field.from_int(num) * field.from_int(den).inverse()
+
+
+def _oracle(field, ncols, rows):
+    """The same matrix as a sympy DomainMatrix over QQ or GF(5)."""
+    if field is F5:
+        dom = GF(5)
+        elems = [[dom(e.rep) for e in row] for row in rows]
+    else:
+        dom = QQ
+        elems = [[dom(e.rep.numerator, e.rep.denominator) for e in row] for row in rows]
+    return DomainMatrix(elems, (len(rows), ncols), dom)
+
+
+def _value(e):
+    """A germ or sympy scalar of Q or F5 as a Fraction or a residue."""
+    if hasattr(e, "rep"):
+        return e.rep
+    if hasattr(e, "denominator"):
+        return Fraction(int(e.numerator), int(e.denominator))
+    return int(e) % 5
+
+
+def _span_basis(field, ncols, rows):
+    ctx = VectorContext(JetRing(field, ["x"], ncols - 1), 1)
+    return SubspaceBasis.span(ctx, rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(matrices())
+@example((Q, 3, []))
+@example((F5, 0, [[], []]))
+@example((Q, 3, [[Q.zero] * 3, [Q.zero] * 3]))
+@example((F5, 2, [[F5.one, F5.from_int(2)]] * 3))
+@example((Q, 3, [[Q.one, Q.zero, Q.zero], [Q.zero, Q.one, Q.zero],
+                 [Q.zero, Q.zero, Q.from_int(7)]]))
+def test_rref_matches_the_domain_matrix_oracle(case):
+    field, ncols, rows = case
+    got_rows, got_pivots = rref(rows, field)
+    want, want_pivots = _oracle(field, ncols, rows).rref()
+    assert list(got_pivots) == list(want_pivots)
+    want_rows = want.to_list()[:len(want_pivots)]
+    assert [[_value(e) for e in row] for row in got_rows] == \
+        [[_value(e) for e in row] for row in want_rows]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(matrices())
+@example((Q, 3, []))
+@example((F5, 4, [[F5.one] * 4] * 2))
+def test_nullspace_is_annihilated_and_has_the_right_size(case):
+    field, ncols, rows = case
+    kernel = nullspace(rows, ncols, field)
+    rank = _oracle(field, ncols, rows).rank()
+    assert len(kernel) == ncols - rank
+    if kernel:
+        assert _oracle(field, ncols, kernel).rank() == len(kernel)
+    for vec in kernel:
+        for row in rows:
+            assert sum((a * b for a, b in zip(row, vec)), field.zero).is_zero()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(matrices(min_cols=2), st.lists(ENTRIES, min_size=6, max_size=6),
+       st.lists(st.sampled_from([0, 1, -1, 2]), min_size=6, max_size=6))
+@example((Q, 2, []), [(1, 1)] * 6, [0] * 6)
+def test_membership_recombines_or_refuses(case, loose, weights):
+    field, ncols, rows = case
+    basis = _span_basis(field, ncols, rows)
+    inside = [field.zero] * ncols
+    for w, row in zip(weights, rows):
+        inside = [a + field.from_int(w) * b for a, b in zip(inside, row)]
+    outside = [_scalar(field, e) for e in loose[:ncols]]
+    for vec in (inside, outside):
+        coords = basis.membership(vec)
+        grows = _oracle(field, ncols, rows + [vec]).rank() > len(basis.rows)
+        if grows:
+            assert coords is None
+            continue
+        assert coords is not None and len(coords) == len(basis.rows)
+        total = [field.zero] * ncols
+        for c, row in zip(coords, basis.rows):
+            total = [a + c * b for a, b in zip(total, row)]
+        assert total == vec

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from germ.exactfield import make_field
@@ -7,7 +10,7 @@ from germ.germs import (
     RightAut,
     product_ring,
 )
-from germ.jets import JetRing, filtration_make
+from germ.jets import JetRing, filtration_make, rref
 from germ.tangent import (
     ContactVector,
     DerVector,
@@ -158,6 +161,61 @@ def test_comparison_bound_needs_positive_order_for_pairs(cusp3):
     # order-0 data degenerates only through the filtration, not the map
     flat = filtration_make(X3, [["x"], ["x"], ["x^2", "x^3"]])
     assert flat.order_of(unit_order.components) >= 1
+
+
+# sha256 of json.dumps(comparison_bound(...).describe(), sort_keys=True) as
+# computed with one intersect_positions (two row reductions) per depth, at
+# jet order 6 on (x, y) -> (u, v): (group, components, level) -> (bound,
+# certificate count, digest).
+_RECORDED_BOUNDS = {
+    ("R", ("x^2", "y^3"), 1):
+        (4, 27, "409d3df54a2cf3429b16cada3a8ea9ea532e8a106474ab292900eab61224ab4a"),
+    ("Klin", ("x", "y^3+x*y"), 2):
+        (5, 26, "39d66fbfe81b657314077ba2825cd3e374144a6cc4a3c35b95e15ba7b0fe513c"),
+    ("LR", ("x^2", "y^3"), 2):
+        (7, 0, "fe01ae7bd1cf878ab9db071351032828e15bf9c984cf3a48b3f4c52ba709da07"),
+    ("LR", ("x^2+3*x*y^2", "y^3-1/2*x^3"), 1):
+        (5, 23, "42923dbf477d2972b6cf49ebf4a39929691ac96e51188940b67f1e715034300c"),
+}
+
+
+def _two_reduction_intersection(basis, allowed):
+    """Reference: reduce with the positions outside ``allowed`` first, keep
+    the rows whose pivot lies inside, and reduce those again in the
+    original column order."""
+    dim = basis.context.dim
+    field = basis.context.ring.field
+    perm = [j for j in range(dim) if j not in allowed] + sorted(allowed)
+    inv = {old: new for new, old in enumerate(perm)}
+    reduced, pivots = rref([[row[j] for j in perm] for row in basis.rows], field)
+    keep = [tuple(row[inv[j]] for j in range(dim))
+            for row, pivot in zip(reduced, pivots) if pivot >= dim - len(allowed)]
+    return rref(keep, field)
+
+
+@pytest.mark.parametrize("cell", sorted(_RECORDED_BOUNDS))
+def test_comparison_bound_certificates_are_byte_identical(cell):
+    tag, exprs, j = cell
+    X = JetRing(Q, ["x", "y"], 6)
+    Y = JetRing(Q, ["u", "v"], 6)
+    mad = filtration_make(X, "madic")
+    f = MapGerm(X, Y, [X.from_expr(e) for e in exprs])
+    text = json.dumps(comparison_bound(tag, f, j, mad).describe(), sort_keys=True)
+    report = json.loads(text)
+    bound, count, digest = _RECORDED_BOUNDS[cell]
+    assert (report["bound"], len(report["certificates"])) == (bound, count)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    basis = tangent_space(tag, f, 0, mad).basis
+    ctx = basis.context
+    grades = [mad.mon_order(mon) for _ in range(ctx.ncomp) for mon in X.monomials]
+    order_at_least = basis.graded_intersections(grades)
+    for d in range(1, mad.vanishing_depth() + 1):
+        allowed = ctx.positions_in({m for m in X.monomials if mad.mon_order(m) >= d})
+        rows, pivots = _two_reduction_intersection(basis, allowed)
+        part = order_at_least(d)
+        assert (part.rows, part.pivots) == (rows, pivots), d
+        assert basis.intersect_positions(allowed).rows == rows, d
 
 
 def test_log_and_exp_in_a_family_ring():
