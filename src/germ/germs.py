@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from .exactfield import Field, FieldElem
 from .jets import (
-    Jet, JetRing, VectorContext, Filtration, rref, jet_to_json,
+    Jet, JetRing, PowerTable, VectorContext, Filtration, rref, jet_to_json,
 )
 
 
@@ -696,24 +696,6 @@ def identity_element(tag: str, source: JetRing, target: JetRing) -> GroupElement
 
 # -- group levels -----------------------------------------------------------
 
-def _level_of_action(element: GroupElement, source: JetRing, target: JetRing,
-                     filt: Filtration, vectors) -> float:
-    cap = source.order + (source.torder or 0)
-    level = cap
-    for comps in vectors:
-        f = MapGerm(source, target, comps, validate=False)
-        moved = element.act(f)
-        diff = [a - b for a, b in zip(moved.components, f.components)]
-        if all(d.is_zero() for d in diff):
-            continue
-        jv = filt.order_of(diff) - filt.order_of(f.components)
-        if jv < level:
-            level = jv
-        if level < 0:
-            return -1
-    return level
-
-
 def _single_monomial_vectors(source: JetRing, target: JetRing):
     m = target.nx
     zero = source.zero
@@ -756,6 +738,47 @@ def _tuple_vectors(source: JetRing, target: JetRing):
             yield comps
 
 
+def _unit_monomial(jet: Jet):
+    """The exponent vector of ``jet`` if it is one monomial with coefficient 1."""
+    if len(jet.coeffs) == 1:
+        (mon, c), = jet.coeffs.items()
+        if c == jet.ring.domain.one:
+            return mon
+    return None
+
+
+def _slot_terms(comp: Jet, slots: Sequence[str], source: JetRing):
+    """``comp`` as pairs (beta, P) with comp = sum of P * slots^beta.
+
+    ``beta`` holds the exponents of the ``slots`` variables; the other
+    variables are carried by name into ``source``, where ``P`` is a jet,
+    or a scalar when it is constant (``None`` when it is 1).
+    """
+    ring = comp.ring
+    where = [ring.var_index[n] for n in slots]
+    groups = {}
+    for mon, c in comp.coeffs.items():
+        rest = [0] * len(source.variables)
+        for i, e in enumerate(mon):
+            name = ring.variables[i]
+            if e and name not in slots:
+                if name not in source.var_index:
+                    raise GermError(f"variable {name!r} missing from the source ring")
+                rest[source.var_index[name]] = e
+        groups.setdefault(tuple(mon[i] for i in where), {})[tuple(rest)] = c
+    terms = []
+    for beta, coeffs in groups.items():
+        P = source.jet(coeffs)
+        if P.is_zero():
+            continue
+        if len(P.coeffs) == 1 and source.unit_mon in P.coeffs:
+            P = P.coeffs[source.unit_mon]
+            if P == source.domain.one:
+                P = None
+        terms.append((beta, P))
+    return terms
+
+
 def group_level(element: GroupElement, source: JetRing, target: JetRing,
                 filt: Filtration) -> float:
     """The largest j with ord(g.v - v) >= ord(v) + j over test maps v.
@@ -764,12 +787,81 @@ def group_level(element: GroupElement, source: JetRing, target: JetRing,
     others on all monomial tuples, so that cross terms between components
     are seen.  Returns -1 when the element fails even the level-0 bound,
     which can happen for non-standard filtrations.
+
+    Every probe image is read off one ``PowerTable`` of phi^gamma, phi the
+    element's source part (the identity for L and C), with no per-probe
+    substitution: R gives phi^alpha, Klin M * phi^alpha, and a target-side
+    tuple sum P_beta(x, t) * y^beta (L, LR, C, K) gives the sum of
+    P_beta * phi^(sum_k beta_k alpha_k) at the monomial tuple
+    (x^alpha_1, ..., x^alpha_m).  This is exact: the entries are ring
+    products in the truncated quotient, as a substitution computes them,
+    and exponent vectors are never truncated, since phi may have terms of
+    geometric degree 0 (x -> x+t in a family).  A probe component that is
+    not one monomial with coefficient 1 (a source ideal can reduce x^alpha)
+    is evaluated by ``PowerTable.image`` and a table of its own images.
     """
-    if element.tag in ("R", "Klin"):
+    tag = element.tag
+    right = element if tag == "R" else getattr(element, "right", None)
+    phi = right.comps if right is not None else [source.var(n) for n in source.xvars]
+    table = PowerTable(source, list(phi) + [source.var(t) for t in source.tvars])
+    if tag in ("L", "LR"):
+        outer = element if tag == "L" else element.left
+    elif tag in ("C", "K"):
+        outer = element if tag == "C" else element.contact
+    else:
+        outer = None
+    outer_terms = ([_slot_terms(c, target.xvars, source) for c in outer.comps]
+                   if outer is not None else None)
+
+    def moved(probe):
+        alphas = [_unit_monomial(p) for p in probe]
+        fast = all(a is not None or p.is_zero() for a, p in zip(alphas, probe))
+        if fast:
+            inner = [source.zero if a is None else table.power(a) for a in alphas]
+        else:
+            inner = [table.image(p) for p in probe]
+        if tag == "R":
+            return inner
+        if tag == "Klin":
+            return matrix_apply(element.matrix, inner, source)
+        if fast:
+            def slot_power(beta):
+                key = [0] * len(source.variables)
+                for b, a in zip(beta, alphas):
+                    if b:
+                        if a is None:
+                            return source.zero
+                        for i, e in enumerate(a):
+                            key[i] += b * e
+                return table.power(tuple(key))
+        else:
+            slot_power = PowerTable(source, inner).power
+        comps = []
+        for terms in outer_terms:
+            parts = []
+            for beta, P in terms:
+                pw = slot_power(beta)
+                if pw.is_zero():
+                    continue
+                parts.append((None, P * pw) if isinstance(P, Jet) else (P, pw))
+            comps.append(source.combination(parts))
+        return comps
+
+    if tag in ("R", "Klin"):
         vectors = _single_monomial_vectors(source, target)
     else:
         vectors = _tuple_vectors(source, target)
-    return _level_of_action(element, source, target, filt, vectors)
+    level = source.order + (source.torder or 0)
+    for probe in vectors:
+        diff = [a - b for a, b in zip(moved(probe), probe)]
+        if all(d.is_zero() for d in diff):
+            continue
+        jv = filt.order_of(diff) - filt.order_of(probe)
+        if jv < level:
+            level = jv
+        if level < 0:
+            return -1
+    return level
 
 
 # -- change of coefficient field --------------------------------------------

@@ -85,12 +85,31 @@ class JetRing:
             self.ideal_basis = self._span_ideal(gens)
 
     def _enumerate_monomials(self):
-        mons = [()]
-        for _ in self.variables:
-            mons = [m + (e,) for m in mons for e in range(self.order + (self.torder or 0) + 1)]
-        keep = [m for m in mons if self._in_range(m)]
-        keep.sort(key=_mon_sort_key)
-        return tuple(keep)
+        """The in-range exponent vectors in ``_mon_sort_key`` order: by total
+        degree, then lexicographically decreasing.  Each degree is split
+        among the variables within the geometric and parameter caps, so
+        nothing out of range is built."""
+        nvars, nx = len(self.variables), self.nx
+        tcap = self.torder or 0
+        out = []
+
+        def split(prefix, left, xleft, tleft):
+            i = len(prefix)
+            if i == nvars:
+                out.append(tuple(prefix))
+                return
+            for e in range(min(left, xleft if i < nx else tleft), -1, -1):
+                x2, t2 = (xleft - e, tleft) if i < nx else (xleft, tleft - e)
+                room = (x2 if i + 1 < nx else 0) + (t2 if i + 1 < nvars else 0)
+                if left - e > room:
+                    break  # the later variables cannot hold the rest
+                prefix.append(e)
+                split(prefix, left - e, x2, t2)
+                prefix.pop()
+
+        for degree in range(self.order + tcap + 1):
+            split([], degree, self.order, tcap)
+        return tuple(out)
 
     def _in_range(self, mon) -> bool:
         xdeg = sum(mon[: self.nx])
@@ -187,6 +206,19 @@ class JetRing:
         if coeff is None:
             coeff = self.domain.one
         return self.jet({tuple(mon): coeff})
+
+    def combination(self, terms) -> "Jet":
+        """The sum of c * jet over ``(c, jet)`` pairs, ``c`` a scalar of the
+        domain or ``None`` for 1.  Reduced jets have no term at a pivot
+        monomial of the ideal, so neither has their sum."""
+        out = {}
+        for c, jet in terms:
+            for mon, v in jet.coeffs.items():
+                if c is not None:
+                    v = c * v
+                old = out.get(mon)
+                out[mon] = v if old is None else old + v
+        return Jet(self, {m: v for m, v in out.items() if not v.is_zero()})
 
     def from_expr(self, text: str, env: Optional[dict] = None) -> "Jet":
         scope = {name: self.var(name) for name in self.variables}
@@ -399,7 +431,8 @@ class Jet:
 
         Every variable actually occurring must be assigned a jet with zero
         constant term; all argument jets must share one ring, which becomes
-        the ring of the result.
+        the ring of the result.  The powers of the arguments come from one
+        ``PowerTable``.
         """
         target = ring
         for name, a in args.items():
@@ -414,31 +447,13 @@ class Jet:
         if target is None:
             target = self.ring
 
-        max_exp = {}
         for mon in self.coeffs:
             for i, e in enumerate(mon):
-                if e:
-                    name = self.ring.variables[i]
-                    if name not in args:
-                        raise JetError(f"no substitution given for variable {name!r}")
-                    max_exp[name] = max(max_exp.get(name, 0), e)
-
-        powers = {}
-        for name, top in max_exp.items():
-            base = args[name]
-            row = [target.one]
-            for _ in range(top):
-                row.append(row[-1] * base)
-            powers[name] = row
-
-        result = target.zero
-        for mon, c in self.coeffs.items():
-            term = target.jet({target.unit_mon: _embed_coeff(c, self.ring, target)})
-            for i, e in enumerate(mon):
-                if e:
-                    term = term * powers[self.ring.variables[i]][e]
-            result = result + term
-        return result
+                if e and self.ring.variables[i] not in args:
+                    raise JetError(
+                        f"no substitution given for variable {self.ring.variables[i]!r}")
+        table = PowerTable(target, [args.get(name) for name in self.ring.variables])
+        return table.image(self)
 
     def map_coeffs(self, fn, ring: JetRing) -> "Jet":
         """Transport this jet into ``ring`` by applying ``fn`` to coefficients."""
@@ -483,6 +498,53 @@ def _embed_coeff(c, source: JetRing, target: JetRing):
     if source.field == target.field:
         return c
     raise JetError("substitution across different coefficient domains")
+
+
+class PowerTable:
+    """Memoized powers phi^gamma = prod_i phi_i^gamma_i of argument jets.
+
+    ``args`` holds one jet of ``ring`` per variable of the jets to be
+    evaluated (``None`` for a variable that must not occur); every entry
+    lives in ``ring``.  Each entry is one jet product of a lower entry with
+    one argument, so the entries are exact products in the truncated
+    quotient ring.  Keys are full exponent vectors and are never
+    truncated: an argument may have terms of geometric degree 0 (x -> x+t
+    in a family), so the power of a monomial outside the jet range can
+    still have terms inside it.
+    """
+
+    def __init__(self, ring: JetRing, args: Sequence[Optional[Jet]]):
+        self.ring = ring
+        self.args = tuple(None if a is None else ring.jet(a) for a in args)
+        self._powers = {tuple(0 for _ in self.args): ring.one}
+
+    def power(self, gamma) -> Jet:
+        """phi^gamma, built from the nearest known entry below it."""
+        powers = self._powers
+        p = powers.get(gamma)
+        if p is not None:
+            return p
+        # lower the last nonzero exponent until a known entry turns up,
+        # then multiply back up, keeping every entry passed on the way
+        chain = []
+        key = gamma
+        while p is None:
+            i = len(key) - 1
+            while not key[i]:
+                i -= 1
+            chain.append((key, i))
+            key = key[:i] + (key[i] - 1,) + key[i + 1:]
+            p = powers.get(key)
+        for key, i in reversed(chain):
+            p = p * self.args[i]
+            powers[key] = p
+        return p
+
+    def image(self, jet: Jet) -> Jet:
+        """``jet`` at the arguments: the sum of c_gamma * phi^gamma."""
+        return self.ring.combination(
+            (_embed_coeff(c, jet.ring, self.ring), self.power(mon))
+            for mon, c in jet.coeffs.items())
 
 
 # -- exact linear algebra ---------------------------------------------------

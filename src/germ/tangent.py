@@ -34,7 +34,7 @@ from .jets import (
 from .germs import (
     MapGerm, GroupElement, RightAut, LeftAut, LRPair, Contact, ContactPair,
     ContactLinPair, product_ring, matrix_apply, matrix_mul,
-    _identity_args, _reindex,
+    _identity_args, _reindex, _single_monomial_vectors, _tuple_vectors,
 )
 
 
@@ -782,13 +782,17 @@ def tangent_space(tag: str, f: MapGerm, j: int, filt: Filtration) -> TangentFram
 
 def vector_level(vec: TangentVector, source: JetRing, target: JetRing,
                  filt: Filtration) -> float:
-    """Largest j with ord(vec . v) >= ord(v) + j over test maps; -1 if below 0."""
+    """Largest j with ord(vec . v) >= ord(v) + j over test maps; -1 if below 0.
+
+    The test maps are those of ``group_level``: single monomials for R and
+    Mat vectors, otherwise monomial tuples that respect the target ideal.
+    """
     cap = source.order + (source.torder or 0)
     level = cap
     if vec.kind in ("R", "Mat"):
-        vectors = _single_mon_maps(source, target)
+        vectors = _single_monomial_vectors(source, target)
     else:
-        vectors = _tuple_maps(source, target)
+        vectors = _tuple_vectors(source, target)
     for comps in vectors:
         image = vec.apply_comps(list(comps), source)
         if all(i.is_zero() for i in image):
@@ -799,35 +803,6 @@ def vector_level(vec: TangentVector, source: JetRing, target: JetRing,
         if level < 0:
             return -1
     return level
-
-
-def _single_mon_maps(source: JetRing, target: JetRing):
-    m = target.nx
-    for mon in source.monomials:
-        if sum(mon) == 0:
-            continue
-        jet = source.jet({mon: source.domain.one})
-        if jet.is_zero():
-            continue
-        for slot in range(m):
-            yield tuple(jet if i == slot else source.zero for i in range(m))
-
-
-def _tuple_maps(source: JetRing, target: JetRing):
-    m = target.nx
-    choices = [source.zero]
-    for mon in source.monomials:
-        if sum(mon) == 0:
-            continue
-        jet = source.jet({mon: source.domain.one})
-        if not jet.is_zero():
-            choices.append(jet)
-    stack = [()]
-    for _ in range(m):
-        stack = [s + (c,) for s in stack for c in choices]
-    for comps in stack:
-        if any(not c.is_zero() for c in comps):
-            yield comps
 
 
 # -- uniform comparison bounds ----------------------------------------------

@@ -263,8 +263,31 @@ def test_04_logarithm_inverts_the_exponential_exactly():
         assert group_level(g, R, T, madic) >= vector_level(cv, R, T, madic)
         trips += 1
 
-    assert trips == 100
-    _finish(4, "100 exact exp/log round trips", t0, 10)
+    # a singular target, the union of the axes uv = 0: target-side vectors
+    # u*a d/du + v*b d/dv keep the ideal, and both levels probe only the
+    # monomial tuples that respect it
+    for i in range(20):
+        rng = random.Random(3000 + i)
+        xv, order = [(["x"], 4), (["x", "y"], 3)][i % 2]
+        R = JetRing(Q, xv, order)
+        T = JetRing(Q, ["u", "v"], order, ideal=[{(1, 1): Q.one}])
+        madic = filtration_make(R, "madic")
+        if i % 4 < 2:
+            ring, kind = T, "L"
+        else:
+            ring, kind = product_ring(R, T), "C"
+        comps = [ring.var(n) * _rand_jet(ring, rng, rng.choice((1, 2)))
+                 for n in T.xvars]
+        vec = (TargetDerVector(T, comps) if kind == "L"
+               else ContactVector(R, T, comps, joint=ring))
+        g = vec.exp()
+        rec = log_element(g)[kind]
+        assert all((a - b).is_zero() for a, b in zip(rec.comps, vec.comps))
+        assert group_level(g, R, T, madic) >= vector_level(vec, R, T, madic)
+        trips += 1
+
+    assert trips == 120
+    _finish(4, "120 exact exp/log round trips", t0, 10)
 
 
 def _depth_map(xv, exprs, order):

@@ -1,10 +1,12 @@
+import hashlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
 
-from germ.cli import SessionError, execute, parse_session
+from germ.cli import SessionError, execute, main, parse_session
 
 RICH = (
     "# comment lines and blanks are skipped\n"
@@ -237,3 +239,48 @@ def test_missing_arguments_are_exit_1():
         [sys.executable, "-m", "germ.cli", "act", "--group", "R"],
         capture_output=True, text=True)
     assert proc.returncode == 1
+
+
+# sha256 of the whole stdout of `germ` with the session on stdin, recorded
+# before group_level read its probe images off a power table.  The CLI
+# output must stay byte-identical.
+GOLDEN = [
+    (RICH, 0, "d4725a7975c20e4ebf2a9413e5219ee4f5c0cd401235019038454b15f5a39f1e",
+     "exp --vf xi"),
+    (RICH, 0, "3e1cac0f643b6093ae6a7a9f86e3b57838718167ac750b84334162e9e6b5d06b",
+     "exp --vf xi --filtration Ch"),
+    (RICH, 0, "d6483b42d3cfe9900c774a180e50849fba79f7c64e73411335bf664bfbd413ac",
+     "log --group R --elem P"),
+    (RICH, 0, "b97578b654d0cf9834d203b9b2e32950ac766a381c790f2ee5e789c711c798e1",
+     "log --group L --elem LP"),
+    (RICH, 0, "76e1ee4f7df3f19b2cdee5e2614e321aceae75e663a4984f215e803c0b4b63f8",
+     "log --group C --elem Ct"),
+    (RICH, 0, "567246193b67b56b8dd5ead7d75505b9a44e14c064b577d2678ad3e646df5a66",
+     "act --group R --elem P --map f"),
+    (RICH, 0, "e58085f37448686dee44291e1b7100c4bc9bb53991213fb2f7e0f5138590bb4b",
+     "act --group L --elem LP --map f"),
+    (RICH, 0, "23e884ad0c3ac7da52c823feb1d5cddb3a34e896c8f819eae94c25e1272ee54c",
+     "act --group C --elem Ct --map g"),
+    (RICH, 0, "0648aef38d1fcb4aab1b467e4917e254630182c45496d446d78e31b506b3a1e2",
+     "tangent --group R --map f --level 1"),
+    (RICH, 0, "009a52a8e5a987e6f5498e367c41149c4a2f83fb0220e088822fbf5bcf9167d9",
+     "tangent --group K --map g --level 1 --filtration Ch"),
+    (Q4, 0, "21e6ca5db2458b22d0a99abe2365744e35d5da26baef4c156bdc11b8790cc811",
+     "descend --group R --map f --map2 ft --level 1"),
+    (Q4, 0, "58e9e46326699cf1b17fda498a0bee0195698aa6b2ce1b511f7622cc7ba8a323",
+     "descend --group R --map f --map2 ft --level 1 --witness (x+x^2)"),
+    (Q4, 0, "bbd558cf1f9f6973a9014e9843a514062225676b5c52c99fa0d1d6cb77dd9fa4",
+     "descend --group LR --map f --map2 ft --level 1 --ext a^2-2 --witness (u)|(x+x^2)"),
+    (Q4, 2, "75fd6d127f1dd78596fd3a33af0865e552f642f3fbe49b2c16f1c213b3c7432c",
+     "descend --group R --map f --map2 bad --level 1"),
+]
+
+
+@pytest.mark.parametrize("session,code,digest,command", GOLDEN,
+                         ids=[f"{i}-{g[3].split()[0]}" for i, g in enumerate(GOLDEN)])
+def test_stdout_is_byte_identical_to_the_recorded_output(
+        session, code, digest, command, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(session))
+    assert main(command.split()) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest, out

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from germ.exactfield import make_extension, make_field
 from germ.germs import (
@@ -260,3 +262,156 @@ def test_action_axioms_hold_for_random_pairs(seed):
     l1 = LeftAut(Y, [Y.var("u") + _random_jet(rng, Y, 2)], validate=False)
     p1 = LRPair(l1, g1)
     assert p1.inverse().act(p1.act(f)) == f
+
+
+# -- group_level against the exhaustive per-probe action ---------------------
+
+QA = make_extension(Q, "a^2 - 2").top
+
+
+def _oracle_level(element, source, target, filt):
+    """The level by acting with ``element.act`` on every test map: single
+    monomials in one slot for R and Klin, otherwise every tuple of unit
+    monomials that respects the target ideal."""
+    units = [source.jet({mon: source.domain.one})
+             for mon in source.monomials if sum(mon) > 0]
+    units = [u for u in units if not u.is_zero()]
+    m = target.nx
+    if element.tag in ("R", "Klin"):
+        probes = [tuple(u if i == slot else source.zero for i in range(m))
+                  for u in units for slot in range(m)]
+    else:
+        probes = []
+        for comps in itertools.product([source.zero] + units, repeat=m):
+            if all(c.is_zero() for c in comps):
+                continue
+            try:
+                MapGerm(source, target, comps)
+            except GermError:
+                continue
+            probes.append(comps)
+    level = source.order + (source.torder or 0)
+    for comps in probes:
+        moved = element.act(MapGerm(source, target, comps, validate=False))
+        diff = [a - b for a, b in zip(moved.components, comps)]
+        if all(d.is_zero() for d in diff):
+            continue
+        level = min(level, filt.order_of(diff) - filt.order_of(comps))
+        if level < 0:
+            return -1
+    return level
+
+
+def _shape(name, F):
+    """(source, target, filtrations) of one probe-set shape over ``F``."""
+    if name == "line":
+        X, Y = JetRing(F, ["x"], 4), JetRing(F, ["u"], 4)
+        return X, Y, [filtration_make(X, "madic"), filtration_make(X, [["x^2"]])]
+    if name == "plane":
+        X, Y = JetRing(F, ["x", "y"], 3), JetRing(F, ["u", "v"], 3)
+        return X, Y, [filtration_make(X, "madic")]
+    if name == "family":
+        X = JetRing(F, ["x"], 3, tvars=["t"], torder=2)
+        Y = JetRing(F, ["u"], 3, tvars=["t"], torder=2)
+        return X, Y, [filtration_make(X, "madic"), filtration_make(X, "tadic")]
+    if name == "singular":
+        # maps into the union of the two axes, uv = 0
+        X = JetRing(F, ["x", "y"], 3)
+        Y = JetRing(F, ["u", "v"], 3, ideal=[{(1, 1): F.one}])
+        return X, Y, [filtration_make(X, "madic")]
+    if name == "quotient":
+        # x*y reduces to y^2 + y^3, so that probe is no single monomial
+        X = JetRing(F, ["x", "y"], 3,
+                    ideal=[{(1, 1): F.one, (0, 2): -F.one, (0, 3): -F.one}])
+        Y = JetRing(F, ["u"], 3)
+        return X, Y, [filtration_make(X, "madic")]
+    raise ValueError(name)
+
+
+SHAPE_TAGS = [(shape, tag) for shape in ("line", "plane", "family", "quotient")
+              for tag in ("R", "L", "LR", "C", "K", "Klin")]
+SHAPE_TAGS += [("singular", tag) for tag in ("R", "L", "LR", "C", "K")]
+
+
+def _scalar(rng, F):
+    c = F.from_int(rng.randrange(-2, 3))
+    if F is QA and rng.random() < 0.5:
+        c = c + F.from_int(rng.randrange(-2, 3)) * F.generator_env()["a"]
+    return c
+
+
+def _bump(rng, ring, min_deg, keep=lambda mon: True, terms=3):
+    mons = [m for m in ring.monomials if sum(m) >= min_deg and keep(m)]
+    picked = rng.sample(mons, min(terms, len(mons)))
+    return ring.jet({m: _scalar(rng, ring.field) for m in picked})
+
+
+def _random_element(rng, tag, source, target):
+    """A random element of ``tag``; target-side parts keep the target
+    ideal when it is the monomial ideal (u*v)."""
+    def right():
+        return RightAut(source, [source.var(n) + _bump(rng, source, rng.choice((1, 2, 3)))
+                                 for n in source.xvars], validate=False)
+
+    def fiberwise(ring, names):
+        # y_k + y_k * h_k keeps (u*v); on a smooth target any term with a
+        # target variable in it will do
+        out = []
+        for k, n in enumerate(names):
+            y = ring.var(n)
+            if target.ideal_gens:
+                out.append(y + y * _bump(rng, ring, 1))
+            else:
+                pos = [ring.var_index[v] for v in names]
+                out.append(y + _bump(rng, ring, rng.choice((1, 2)),
+                                     keep=lambda mon: any(mon[p] for p in pos)))
+        return out
+
+    def left():
+        return LeftAut(target, fiberwise(target, target.xvars), validate=False)
+
+    def contact():
+        joint = product_ring(source, target)
+        return Contact(source, target, fiberwise(joint, target.xvars),
+                       joint=joint, validate=False)
+
+    if tag == "R":
+        return right()
+    if tag == "L":
+        return left()
+    if tag == "LR":
+        return LRPair(left(), right())
+    if tag == "C":
+        return contact()
+    if tag == "K":
+        return ContactPair(contact(), right())
+    m = target.nx
+    matrix = [[(source.one if i == j else source.zero)
+               + _bump(rng, source, rng.choice((0, 1)), terms=2)
+               for j in range(m)] for i in range(m)]
+    return ContactLinPair(source, target, matrix, right(), validate=False)
+
+
+def test_the_quotient_shape_has_a_probe_that_is_no_single_monomial():
+    X, _, _ = _shape("quotient", Q)
+    assert str(X.from_expr("x*y")) == "y^2+y^3"
+
+
+def test_group_level_keeps_powers_of_a_family_right_part_beyond_the_jet_range():
+    X, Y, (madic, tadic) = _shape("family", Q)
+    pair = LRPair(LeftAut(Y, [Y.from_expr("u + u^2")], validate=False),
+                  RightAut(X, [X.from_expr("x + t")], validate=False))
+    # (x+t)^4 = ... + 6*x^2*t^2 + ... is inside the jet range although x^4 is not
+    for filt in (madic, tadic):
+        assert group_level(pair, X, Y, filt) == _oracle_level(pair, X, Y, filt)
+
+
+@pytest.mark.parametrize("F", [Q, QA], ids=["Q", "Qsqrt2"])
+@pytest.mark.parametrize("shape,tag", SHAPE_TAGS)
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(rng=st.randoms(use_true_random=False), which=st.integers(0, 1))
+def test_group_level_matches_the_exhaustive_action(shape, tag, F, rng, which):
+    X, Y, filts = _shape(shape, F)
+    filt = filts[which % len(filts)]
+    g = _random_element(rng, tag, X, Y)
+    assert group_level(g, X, Y, filt) == _oracle_level(g, X, Y, filt)

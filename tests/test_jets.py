@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,9 +9,11 @@ from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from germ.exactfield import make_field
+from germ.jets import _mon_sort_key
 from germ.jets import (
     JetRing,
     JetError,
+    PowerTable,
     SubspaceBasis,
     VectorContext,
     filtration_make,
@@ -26,6 +29,45 @@ from germ.jets import (
 Q = make_field("Q")
 F3 = make_field("F3")
 F5 = make_field("F5")
+
+
+
+def _box_filtered_monomials(ring):
+    """The enumeration that builds every exponent tuple up to order+torder
+    in each variable and then keeps the in-range ones."""
+    top = ring.order + (ring.torder or 0)
+    mons = [m for m in itertools.product(range(top + 1), repeat=len(ring.variables))
+            if ring._in_range(m)]
+    return tuple(sorted(mons, key=_mon_sort_key))
+
+
+@pytest.mark.parametrize("xvars,order,tvars,torder", [
+    (["x"], 5, (), None),
+    (["x", "y"], 4, (), None),
+    (["x", "y", "z"], 3, (), None),
+    (["a", "b", "c", "d"], 2, (), None),
+    (["x"], 3, ["t"], 2),
+    (["x", "y"], 2, ["t"], 0),
+    (["x", "y"], 3, ["t", "s"], 1),
+    (["x"], 1, ["t", "s"], 3),
+])
+def test_monomials_are_the_in_range_box_in_sort_key_order(xvars, order, tvars, torder):
+    R = JetRing(Q, xvars, order, tvars=tvars, torder=torder)
+    assert R.monomials == _box_filtered_monomials(R)
+    if not tvars:
+        assert len(R.monomials) == math.comb(len(xvars) + order, order)
+
+
+def test_power_table_keeps_keys_beyond_the_jet_range():
+    R = JetRing(Q, ["x"], 3, tvars=["t"], torder=2)
+    phi = R.from_expr("x + t")
+    table = PowerTable(R, [phi, R.var("t")])
+    # x^4 is outside the jet range, (x+t)^4 = 4*x^3*t + 6*x^2*t^2 inside it
+    assert table.power((4, 0)) == phi ** 4
+    assert str(table.power((4, 0))) == "4*x^3*t+6*x^2*t^2"
+    assert table.power((2, 1)) == phi ** 2 * R.var("t")
+    f = R.from_expr("x^2 + 3*x*t - t^2")
+    assert table.image(f) == R.from_expr("x^2 + 5*x*t + 3*t^2")
 
 
 def test_truncated_arithmetic_and_printing():
