@@ -1,26 +1,40 @@
 """Exact coefficient fields with canonical element representations.
 
-Every element is stored in a canonical form so that equality of elements is
-literal equality of the underlying data:
+An element is a ``FieldElem(field, rep)``.  Each field stores its raw
+representation (``rep``) in a canonical form, so that equality of elements
+is literal equality of the reps:
 
 * ``Rationals`` — `fractions.Fraction`;
 * ``PrimeField(p)`` — ints in ``range(p)``;
-* ``ExtensionField(base, a, minpoly)`` — dense coefficient tuples in the
-  power basis ``1, a, ..., a^(d-1)``, reduced modulo the monic minimal
-  polynomial;
+* ``ExtensionField(base, a, minpoly)`` — a tuple of exactly d raw base reps,
+  the coordinates in the power basis ``1, a, ..., a^(d-1)``: ints over F_p,
+  Fractions over Q, and over a finite tower (an extension of an extension)
+  tuples of such tuples.  No ``FieldElem`` sits inside a rep.  A product
+  folds the high coefficients of the schoolbook product back with reduction
+  rows a^(d+k) mod minpoly (k = 0..d-2), built once per field; an inverse
+  runs extended Euclid on raw reps;
 * ``FunctionField(p, s)`` — rational functions over F_p, stored as a reduced
-  fraction of dense coefficient tuples with monic denominator.  These exist
-  solely to realize imperfect-field phenomena; they cannot be extended.
+  fraction of dense int coefficient tuples with monic denominator.  These
+  exist solely to realize imperfect-field phenomena; they cannot be
+  extended.
+
+Every field does its arithmetic on raw reps (``_add``, ``_neg``, ``_mul``,
+``_inv``, ``_is_zero`` and the raw constants ``_zero``, ``_one``), and
+``FieldElem`` wraps the results.  One set of dense univariate polynomial
+helpers (``poly_*``) works on tuples of raw reps over any such field; it
+serves extension fields, minimal-polynomial parsing, the irreducibility
+test, and over ``PrimeField(p)`` the rational function fields.
 
 Minimal polynomials are checked for irreducibility: over the rationals via
-sympy, over finite fields by exhaustive search for a monic factor.  Degrees
-above 8 are rejected — the whole library is sized for exact desk-scale work.
+sympy, over finite fields by Rabin's test.  Degrees above 8 are rejected —
+the whole library is sized for exact desk-scale work.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Optional, Union
 
 from . import expr
@@ -54,7 +68,7 @@ class FieldElem:
 
     def _coerce(self, other):
         if isinstance(other, FieldElem):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldError(
                     f"elements of different fields: {self.field} vs {other.field}"
                 )
@@ -141,16 +155,11 @@ class FieldElem:
             other = coerced
         if not isinstance(other, FieldElem):
             return NotImplemented
-        return self.field == other.field and self.rep == other.rep
+        return ((self.field is other.field or self.field == other.field)
+                and self.rep == other.rep)
 
     def __hash__(self):
-        return hash((self.field, self._hashable_rep()))
-
-    def _hashable_rep(self):
-        rep = self.rep
-        if isinstance(rep, tuple) and rep and isinstance(rep[0], FieldElem):
-            return tuple(c._hashable_rep() for c in rep)
-        return rep
+        return hash((self.field, self.rep))
 
     def key(self):
         """Deterministic sort key (ints/Fractions only, recursively)."""
@@ -168,11 +177,11 @@ class Field:
 
     char: int = 0
 
-    @property
+    @cached_property
     def zero(self) -> FieldElem:
         return self.from_int(0)
 
-    @property
+    @cached_property
     def one(self) -> FieldElem:
         return self.from_int(1)
 
@@ -194,7 +203,7 @@ class Field:
 
     def embed_base(self, c: FieldElem) -> FieldElem:
         # coefficient-domain protocol shared with polynomial domains
-        if not isinstance(c, FieldElem) or c.field != self:
+        if not isinstance(c, FieldElem) or (c.field is not self and c.field != self):
             raise FieldError(f"scalar of {getattr(c, 'field', type(c))} used over {self}")
         return c
 
@@ -207,6 +216,8 @@ class Field:
 
 class Rationals(Field):
     char = 0
+    _zero = Fraction(0)
+    _one = Fraction(1)
 
     def from_int(self, n):
         return FieldElem(self, Fraction(n))
@@ -243,6 +254,9 @@ class Rationals(Field):
 
 
 class PrimeField(Field):
+    _zero = 0
+    _one = 1
+
     def __init__(self, p: int):
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
@@ -293,97 +307,110 @@ class PrimeField(Field):
         return f"F{self.p}"
 
 
-# Dense univariate polynomial helpers over an arbitrary Field.  Coefficient
-# lists are ascending and trimmed; the zero polynomial is the empty tuple.
+# Dense univariate polynomials over a field F, on raw reps of F: ascending
+# coefficient tuples, trimmed, the zero polynomial is the empty tuple.  Only
+# F's raw operations are used, so no FieldElem is built.
 
-def poly_trim(coeffs) -> tuple:
+def poly_trim(coeffs, F: Field) -> tuple:
     coeffs = list(coeffs)
-    while coeffs and coeffs[-1].is_zero():
+    while coeffs and F._is_zero(coeffs[-1]):
         coeffs.pop()
     return tuple(coeffs)
 
 
-def poly_add(a, b, field: Field) -> tuple:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero
-        y = b[i] if i < len(b) else field.zero
-        out.append(x + y)
-    return poly_trim(out)
+def poly_add(a, b, F: Field) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] = F._add(out[i], y)
+    return poly_trim(out, F)
 
 
-def poly_neg(a) -> tuple:
-    return tuple(-c for c in a)
+def poly_neg(a, F: Field) -> tuple:
+    return tuple(map(F._neg, a))
 
 
-def poly_mul(a, b, field: Field) -> tuple:
+def poly_scale(a, c, F: Field) -> tuple:
+    """c * a for a nonzero scalar c."""
+    return tuple(F._mul(x, c) for x in a)
+
+
+def poly_mul(a, b, F: Field) -> tuple:
     if not a or not b:
         return ()
-    out = [field.zero] * (len(a) + len(b) - 1)
+    add, mul, is_zero = F._add, F._mul, F._is_zero
+    out = [F._zero] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x.is_zero():
+        if is_zero(x):
             continue
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return poly_trim(out)
+            out[i + j] = add(out[i + j], mul(x, y))
+    return poly_trim(out, F)
 
 
-def poly_divmod(a, b, field: Field):
+def poly_divmod(a, b, F: Field):
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    add, mul, is_zero = F._add, F._mul, F._is_zero
     rem = list(a)
-    quot = [field.zero] * max(0, len(a) - len(b) + 1)
-    inv_lead = b[-1].inverse()
+    quot = [F._zero] * max(0, len(a) - len(b) + 1)
+    inv_lead = F._inv(b[-1])
     while len(rem) >= len(b):
-        c = rem[-1] * inv_lead
+        c = mul(rem[-1], inv_lead)
         k = len(rem) - len(b)
         quot[k] = c
+        neg = F._neg(c)
         for i, bc in enumerate(b):
-            rem[k + i] = rem[k + i] - c * bc
-        while rem and rem[-1].is_zero():
+            rem[k + i] = add(rem[k + i], mul(neg, bc))
+        while rem and is_zero(rem[-1]):
             rem.pop()
-    return poly_trim(quot), poly_trim(rem)
+    return poly_trim(quot, F), tuple(rem)
 
 
-def poly_gcd(a, b, field: Field) -> tuple:
-    a, b = poly_trim(a), poly_trim(b)
+def poly_gcd(a, b, F: Field) -> tuple:
+    """The monic gcd (the zero polynomial when both are zero)."""
+    a, b = poly_trim(a, F), poly_trim(b, F)
     while b:
-        _, r = poly_divmod(a, b, field)
-        a, b = b, r
-    if a:
-        inv = a[-1].inverse()
-        a = tuple(c * inv for c in a)
-    return a
+        a, b = b, poly_divmod(a, b, F)[1]
+    return poly_scale(a, F._inv(a[-1]), F) if a else a
 
 
-def poly_xgcd(a, b, field: Field):
-    """Return (g, u, v) with u*a + v*b = g, g monic (or zero)."""
-    r0, r1 = poly_trim(a), poly_trim(b)
-    u0, u1 = (field.one,), ()
-    v0, v1 = (), (field.one,)
+def poly_invmod(a, m, F: Field) -> Optional[tuple]:
+    """u with u*a = 1 modulo m and deg u < deg m, by extended Euclid; None
+    when a and m have a common factor."""
+    r0, r1 = poly_trim(m, F), poly_trim(a, F)
+    u0, u1 = (), (F._one,)
     while r1:
-        q, r = poly_divmod(r0, r1, field)
+        q, r = poly_divmod(r0, r1, F)
         r0, r1 = r1, r
-        u0, u1 = u1, poly_add(u0, poly_neg(poly_mul(q, u1, field)), field)
-        v0, v1 = v1, poly_add(v0, poly_neg(poly_mul(q, v1, field)), field)
-    if r0:
-        inv = r0[-1].inverse()
-        r0 = tuple(c * inv for c in r0)
-        u0 = tuple(c * inv for c in u0)
-        v0 = tuple(c * inv for c in v0)
-    return r0, u0, v0
+        u0, u1 = u1, poly_add(u0, poly_neg(poly_mul(q, u1, F), F), F)
+    if len(r0) != 1:
+        return None
+    return poly_scale(u0, F._inv(r0[0]), F)
 
 
-def _poly_fmt(coeffs, var: str, coeff_fmt) -> str:
+def poly_powmod(a, n: int, m, F: Field) -> tuple:
+    """a^n modulo m, by repeated squaring."""
+    result = poly_divmod((F._one,), m, F)[1]
+    a = poly_divmod(a, m, F)[1]
+    while n:
+        if n & 1:
+            result = poly_divmod(poly_mul(result, a, F), m, F)[1]
+        a = poly_divmod(poly_mul(a, a, F), m, F)[1]
+        n >>= 1
+    return result
+
+
+def _poly_fmt(coeffs, var: str, F: Field) -> str:
     if not coeffs:
         return "0"
     parts = []
     for i in range(len(coeffs) - 1, -1, -1):
         c = coeffs[i]
-        if c.is_zero():
+        if F._is_zero(c):
             continue
-        cs = coeff_fmt(c)
+        cs = F._fmt(c)
         if i == 0:
             parts.append(cs)
         else:
@@ -398,7 +425,11 @@ def _poly_fmt(coeffs, var: str, coeff_fmt) -> str:
 
 
 class ExtensionField(Field):
-    """Simple extension base[a]/(minpoly), elements in the power basis."""
+    """Simple extension base[a]/(minpoly), elements in the power basis.
+
+    ``minpoly`` is the ascending tuple of raw base reps of a monic
+    irreducible polynomial of degree 1..MAX_MINPOLY_DEGREE.
+    """
 
     def __init__(self, base: Field, var: str, minpoly: tuple):
         if isinstance(base, FunctionField):
@@ -407,36 +438,46 @@ class ExtensionField(Field):
             raise FieldError(
                 f"minimal polynomial degree must be 1..{MAX_MINPOLY_DEGREE}"
             )
-        if minpoly[-1] != base.one:
+        if minpoly[-1] != base._one:
             raise FieldError("minimal polynomial must be monic")
         if not _is_irreducible(minpoly, base):
-            raise FieldError(f"minimal polynomial {_poly_fmt(minpoly, var, str)} is reducible")
+            raise FieldError(f"minimal polynomial {_poly_fmt(minpoly, var, base)} is reducible")
         self.base = base
         self.var = var
         self.minpoly = tuple(minpoly)
-        self.degree = len(minpoly) - 1
+        self.degree = d = len(minpoly) - 1
         self.char = base.char
+        self._zero = (base._zero,) * d
+        self._one = self._pad((base._one,))
+        # a^(d+k) mod minpoly for k = 0..d-2, each as the (index, coefficient)
+        # pairs of its nonzero coordinates
+        top = poly_neg(self.minpoly[:d], base)  # a^d
+        row, rows = top, []
+        for _ in range(d - 1):
+            rows.append(tuple((i, c) for i, c in enumerate(row) if not base._is_zero(c)))
+            lead = row[-1]
+            row = (base._zero,) + row[:-1]
+            if not base._is_zero(lead):
+                row = tuple(base._add(x, base._mul(lead, t)) for x, t in zip(row, top))
+        self._fold = tuple(rows)
 
     @property
     def generator(self) -> FieldElem:
-        rep = [self.base.zero] * self.degree
         if self.degree == 1:
             # a = -c0 in a degree-one extension
-            return FieldElem(self, (-self.minpoly[0],))
-        rep[1] = self.base.one
-        return FieldElem(self, tuple(rep))
+            return FieldElem(self, (self.base._neg(self.minpoly[0]),))
+        return FieldElem(self, self._pad((self.base._zero, self.base._one)))
 
     def _pad(self, coeffs) -> tuple:
-        out = list(coeffs) + [self.base.zero] * (self.degree - len(coeffs))
-        return tuple(out[: self.degree])
+        return tuple(coeffs) + (self.base._zero,) * (self.degree - len(coeffs))
 
     def from_int(self, n):
-        return FieldElem(self, self._pad([self.base.from_int(n)]))
+        return FieldElem(self, self._pad((self.base.from_int(n).rep,)))
 
     def embed(self, c: FieldElem) -> FieldElem:
-        if c.field != self.base:
+        if c.field is not self.base and c.field != self.base:
             raise FieldError("embed: element not in the base field")
-        return FieldElem(self, self._pad([c]))
+        return FieldElem(self, self._pad((c.rep,)))
 
     def is_finite(self):
         return self.base.is_finite()
@@ -445,9 +486,9 @@ class ExtensionField(Field):
         return self.base.size() ** self.degree
 
     def elements(self):
-        base_elems = list(self.base.elements())
-        for combo in itertools.product(base_elems, repeat=self.degree):
-            yield FieldElem(self, tuple(combo))
+        base_reps = [e.rep for e in self.base.elements()]
+        for combo in itertools.product(base_reps, repeat=self.degree):
+            yield FieldElem(self, combo)
 
     def generator_env(self):
         env = {self.var: self.generator}
@@ -456,36 +497,49 @@ class ExtensionField(Field):
         return env
 
     def _add(self, a, b):
-        return self._pad(poly_add(a, b, self.base))
+        return tuple(map(self.base._add, a, b))
 
     def _neg(self, a):
-        return tuple(-c for c in a)
+        return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
-        prod = poly_mul(poly_trim(a), poly_trim(b), self.base)
-        _, rem = poly_divmod(prod, self.minpoly, self.base)
-        return self._pad(rem)
+        F = self.base
+        add, mul, is_zero = F._add, F._mul, F._is_zero
+        d = self.degree
+        # reps have length d, so the product has a fixed length and, unlike
+        # poly_mul, needs no trimming before the high part is folded back
+        prod = [F._zero] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if is_zero(x):
+                continue
+            for j, y in enumerate(b):
+                prod[i + j] = add(prod[i + j], mul(x, y))
+        out = prod[:d]
+        for c, row in zip(prod[d:], self._fold):
+            if is_zero(c):
+                continue
+            for i, r in row:
+                out[i] = add(out[i], mul(c, r))
+        return tuple(out)
 
     def _inv(self, a):
-        g, u, _ = poly_xgcd(poly_trim(a), self.minpoly, self.base)
-        if len(g) != 1:
+        u = poly_invmod(a, self.minpoly, self.base)
+        if u is None:
             raise FieldError("element not invertible; minimal polynomial not irreducible?")
-        inv_g = g[0].inverse()
-        _, rem = poly_divmod(tuple(c * inv_g for c in u), self.minpoly, self.base)
-        return self._pad(rem)
+        return self._pad(u)
 
     def _is_zero(self, a):
-        return all(c.is_zero() for c in a)
+        return a == self._zero
 
     def _key(self, a):
-        return tuple(c.key() for c in a)
+        return tuple(map(self.base._key, a))
 
     def _fmt(self, a):
-        return _poly_fmt(poly_trim(a), self.var, lambda c: str(c))
+        return _poly_fmt(poly_trim(a, self.base), self.var, self.base)
 
     def minpoly_str(self) -> str:
         """The defining polynomial as parseable text, e.g. ``b^2+1``."""
-        return _poly_fmt(self.minpoly, self.var, str)
+        return _poly_fmt(self.minpoly, self.var, self.base)
 
     def __eq__(self, other):
         return (
@@ -500,59 +554,7 @@ class ExtensionField(Field):
 
     def __repr__(self):
         base = "Q" if isinstance(self.base, Rationals) else repr(self.base)
-        return f"{base}[{self.var}]/({_poly_fmt(self.minpoly, self.var, str)})"
-
-
-# F_p[s] helpers on plain int tuples (ascending, trimmed).
-
-def _ipoly_trim(c):
-    c = list(c)
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _ipoly_add(a, b, p):
-    n = max(len(a), len(b))
-    return _ipoly_trim(
-        [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]
-    )
-
-
-def _ipoly_mul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ipoly_trim(out)
-
-def _ipoly_divmod(a, b, p):
-    rem = list(a)
-    quot = [0] * max(0, len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], p - 2, p)
-    while len(rem) >= len(b):
-        c = rem[-1] * inv_lead % p
-        k = len(rem) - len(b)
-        quot[k] = c
-        for i, bc in enumerate(b):
-            rem[k + i] = (rem[k + i] - c * bc) % p
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _ipoly_trim(quot), _ipoly_trim(rem)
-
-
-def _ipoly_gcd(a, b, p):
-    a, b = _ipoly_trim(a), _ipoly_trim(b)
-    while b:
-        _, r = _ipoly_divmod(a, b, p)
-        a, b = b, r
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple(c * inv % p for c in a)
-    return a
+        return f"{base}[{self.var}]/({self.minpoly_str()})"
 
 
 class FunctionField(Field):
@@ -564,21 +566,23 @@ class FunctionField(Field):
         self.char = p
         self.p = p
         self.var = var
+        self._fp = PrimeField(p)
+        self._zero = ((), (1,))
+        self._one = ((1,), (1,))
 
     def _canon(self, num, den):
-        num, den = _ipoly_trim(num), _ipoly_trim(den)
+        F = self._fp
+        num, den = poly_trim(num, F), poly_trim(den, F)
         if not den:
             raise ZeroDivisionError("zero denominator")
         if not num:
-            return ((), (1,))
-        g = _ipoly_gcd(num, den, self.p)
+            return self._zero
+        g = poly_gcd(num, den, F)
         if len(g) > 1:
-            num, _ = _ipoly_divmod(num, g, self.p)
-            den, _ = _ipoly_divmod(den, g, self.p)
-        inv_lead = pow(den[-1], self.p - 2, self.p)
-        num = tuple(c * inv_lead % self.p for c in num)
-        den = tuple(c * inv_lead % self.p for c in den)
-        return (num, den)
+            num = poly_divmod(num, g, F)[0]
+            den = poly_divmod(den, g, F)[0]
+        inv_lead = F._inv(den[-1])
+        return (poly_scale(num, inv_lead, F), poly_scale(den, inv_lead, F))
 
     @property
     def generator(self) -> FieldElem:
@@ -592,19 +596,19 @@ class FunctionField(Field):
         return {self.var: self.generator}
 
     def _add(self, a, b):
+        F = self._fp
         (na, da), (nb, db) = a, b
-        num = _ipoly_add(
-            _ipoly_mul(na, db, self.p), _ipoly_mul(nb, da, self.p), self.p
-        )
-        return self._canon(num, _ipoly_mul(da, db, self.p))
+        num = poly_add(poly_mul(na, db, F), poly_mul(nb, da, F), F)
+        return self._canon(num, poly_mul(da, db, F))
 
     def _neg(self, a):
         num, den = a
-        return (tuple((-c) % self.p for c in num), den)
+        return (poly_neg(num, self._fp), den)
 
     def _mul(self, a, b):
+        F = self._fp
         (na, da), (nb, db) = a, b
-        return self._canon(_ipoly_mul(na, nb, self.p), _ipoly_mul(da, db, self.p))
+        return self._canon(poly_mul(na, nb, F), poly_mul(da, db, F))
 
     def _inv(self, a):
         num, den = a
@@ -618,16 +622,10 @@ class FunctionField(Field):
 
     def _fmt(self, a):
         num, den = a
-        wrap = lambda c: str(c)  # noqa: E731
-        num_s = _poly_fmt(
-            tuple(FieldElem(PrimeField(self.p), c) for c in num), self.var, wrap
-        )
+        num_s = _poly_fmt(num, self.var, self._fp)
         if den == (1,):
             return num_s
-        den_s = _poly_fmt(
-            tuple(FieldElem(PrimeField(self.p), c) for c in den), self.var, wrap
-        )
-        return f"({num_s})/({den_s})"
+        return f"({num_s})/({_poly_fmt(den, self.var, self._fp)})"
 
     def __eq__(self, other):
         return (
@@ -652,19 +650,25 @@ def _is_irreducible(minpoly: tuple, base: Field) -> bool:
 
         x = sympy.Symbol("x")
         poly = sum(
-            sympy.Rational(c.rep.numerator, c.rep.denominator) * x**i
+            sympy.Rational(c.numerator, c.denominator) * x**i
             for i, c in enumerate(minpoly)
         )
         return sympy.Poly(poly, x, domain="QQ").is_irreducible
     if base.is_finite():
-        # A monic polynomial of degree d is reducible iff it has a monic
-        # factor of degree 1..d//2; the base is small enough to enumerate.
-        elems = list(base.elements())
-        for fdeg in range(1, deg // 2 + 1):
-            for combo in itertools.product(elems, repeat=fdeg):
-                factor = poly_trim(list(combo) + [base.one])
-                _, rem = poly_divmod(minpoly, factor, base)
-                if not rem:
+        # Rabin's test: a monic f of degree d over F_q is irreducible iff
+        # x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1 for every prime
+        # r dividing d.
+        q = base.size()
+        x = (base._zero, base._one)
+        frob = [x]  # x^(q^k) mod f, k = 0..deg
+        for _ in range(deg):
+            frob.append(poly_powmod(frob[-1], q, minpoly, base))
+        if frob[deg] != x:
+            return False
+        for r in range(2, deg + 1):
+            if deg % r == 0 and _is_prime(r):
+                diff = poly_add(frob[deg // r], poly_neg(x, base), base)
+                if len(poly_gcd(diff, minpoly, base)) != 1:
                     return False
         return True
     raise FieldError(f"cannot test irreducibility over {base}")
@@ -677,15 +681,15 @@ class _UPoly:
 
     def __init__(self, field, coeffs):
         self.field = field
-        self.coeffs = poly_trim(coeffs)
+        self.coeffs = poly_trim(coeffs, field)
 
     def _coerce(self, other):
         if isinstance(other, _UPoly):
             return other
         if isinstance(other, int):
-            return _UPoly(self.field, (self.field.from_int(other),))
+            return _UPoly(self.field, (self.field.from_int(other).rep,))
         if isinstance(other, FieldElem) and other.field == self.field:
-            return _UPoly(self.field, (other,))
+            return _UPoly(self.field, (other.rep,))
         return None
 
     def __add__(self, other):
@@ -697,7 +701,7 @@ class _UPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return _UPoly(self.field, poly_neg(self.coeffs))
+        return _UPoly(self.field, poly_neg(self.coeffs, self.field))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -727,18 +731,19 @@ class _UPoly:
             raise FieldError("cannot divide by a non-constant polynomial")
         if not other.coeffs:
             raise ZeroDivisionError("division by zero")
-        inv = other.coeffs[0].inverse()
-        return _UPoly(self.field, tuple(c * inv for c in self.coeffs))
+        inv = self.field._inv(other.coeffs[0])
+        return _UPoly(self.field, poly_scale(self.coeffs, inv, self.field))
 
     def __pow__(self, n):
-        result = _UPoly(self.field, (self.field.one,))
+        result = _UPoly(self.field, (self.field._one,))
         for _ in range(n):
             result = result * self
         return result
 
 
 def _parse_upoly(field: Field, text: str, var: Optional[str] = None):
-    """Parse univariate polynomial text over ``field``; returns (var, coeffs)."""
+    """Parse univariate polynomial text over ``field``; returns (var, raw
+    coefficient tuple)."""
     ast = expr.parse(text)
     reserved = field.generator_env()
     names = [n for n in expr.names_in(ast) if n not in reserved]
@@ -750,11 +755,11 @@ def _parse_upoly(field: Field, text: str, var: Optional[str] = None):
         var = names[0]
     elif names and names != [var]:
         raise FieldError(f"unexpected names {names} in {text!r}")
-    env = {name: _UPoly(field, (value,)) for name, value in reserved.items()}
-    env[var] = _UPoly(field, (field.zero, field.one))
-    value = expr.evaluate(ast, env, lambda n: _UPoly(field, (field.from_int(n),)))
+    env = {name: _UPoly(field, (value.rep,)) for name, value in reserved.items()}
+    env[var] = _UPoly(field, (field._zero, field._one))
+    value = expr.evaluate(ast, env, lambda n: _UPoly(field, (field.from_int(n).rep,)))
     if isinstance(value, FieldElem):
-        value = _UPoly(field, (value,))
+        value = _UPoly(field, (value.rep,))
     if not isinstance(value, _UPoly):
         raise FieldError(f"not a polynomial: {text!r}")
     return var, value.coeffs
@@ -780,9 +785,9 @@ class Extension:
 
     def coordinates(self, e: FieldElem) -> tuple:
         """Coordinates of e in the basis 1, a, ..., a^(deg-1), over the base."""
-        if e.field != self.top:
+        if e.field is not self.top and e.field != self.top:
             raise FieldError("coordinates: element not in the extension field")
-        return tuple(e.rep)
+        return tuple(FieldElem(self.base, c) for c in e.rep)
 
     def descend(self, e: FieldElem) -> Optional[FieldElem]:
         """The base-field element equal to e, or None if e is not rational."""
@@ -796,6 +801,9 @@ class Extension:
 
 
 def make_extension(base: Field, minpoly: Union[str, tuple], var: Optional[str] = None) -> Extension:
+    """The extension of ``base`` by a root ``var`` of ``minpoly``: text such
+    as ``"b^2+1"``, or ascending coefficients given as base-field elements
+    (then ``var`` is required)."""
     if isinstance(base, FunctionField):
         raise FieldError("rational function fields cannot be extended")
     if isinstance(base, ExtensionField) and not base.is_finite():
@@ -803,7 +811,7 @@ def make_extension(base: Field, minpoly: Union[str, tuple], var: Optional[str] =
     if isinstance(minpoly, str):
         var, coeffs = _parse_upoly(base, minpoly, var)
     else:
-        coeffs = tuple(minpoly)
+        coeffs = tuple(base.embed_base(c).rep for c in minpoly)
         if var is None:
             raise FieldError("variable name required with explicit coefficients")
     if var in base.generator_env():
@@ -854,7 +862,8 @@ def is_pth_power(e: FieldElem, p: int) -> Optional[FieldElem]:
 
     Only fields of characteristic p qualify.  Over a finite field the
     Frobenius is bijective, so a root always exists; over F_p(s) the element
-    must be a p-th power of a rational function.
+    must be a p-th power of a rational function.  Every root is checked
+    before it is returned.
     """
     field = e.field
     if field.char == 0:
@@ -863,24 +872,24 @@ def is_pth_power(e: FieldElem, p: int) -> Optional[FieldElem]:
         raise FieldError(f"field has characteristic {field.char}, not {p}")
     if field.is_finite():
         root = e ** (field.size() // p)
-        assert root**p == e
-        return root
-    if isinstance(field, FunctionField):
+    elif isinstance(field, FunctionField):
         num, den = e.rep
 
         def poly_root(c):
             if any(v and (i % p) for i, v in enumerate(c)):
                 return None
-            return _ipoly_trim([c[i] for i in range(0, len(c), p)])
+            return poly_trim([c[i] for i in range(0, len(c), p)], field._fp)
 
         rnum = poly_root(num)
         rden = poly_root(den)
         if rnum is None or rden is None:
             return None
         root = FieldElem(field, field._canon(rnum, rden))
-        assert root**p == e
-        return root
-    raise FieldError(f"is_pth_power not supported over {field}")
+    else:
+        raise FieldError(f"is_pth_power not supported over {field}")
+    if root**p != e:
+        raise FieldError(f"p-th root check failed for {e} over {field}")
+    return root
 
 
 def coordinates(e: FieldElem, ext: Extension) -> tuple:

@@ -157,6 +157,11 @@ def _linear_matrix(comps: Sequence[Jet], ring: JetRing):
     return rows
 
 
+def _is_singular(rows, field: Field) -> bool:
+    """Whether the square matrix ``rows`` has rank below its size."""
+    return len(rref(rows, field)[1]) < len(rows)
+
+
 def _field_matrix_inverse(rows, field: Field):
     n = len(rows)
     aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
@@ -285,7 +290,7 @@ class RightAut(GroupElement):
             if not c.constant_term().is_zero():
                 raise GermError(f"component for {name!r} has a constant term")
         lin = _linear_matrix(self.comps, self.ring)
-        if _field_matrix_inverse(lin, self.ring.field) is None:
+        if _is_singular(lin, self.ring.field):
             raise GermError("coordinate change has a singular linear part")
         mapping = dict(zip(self.ring.xvars, self.comps))
         args = _identity_args(self.ring, mapping)
@@ -446,7 +451,7 @@ class ContactLinPair(GroupElement):
         if len(self.matrix) != m or any(len(row) != m for row in self.matrix):
             raise GermError(f"matrix must be {m} by {m}")
         const = [[e.constant_term() for e in row] for row in self.matrix]
-        if _field_matrix_inverse(const, self.source.field) is None:
+        if _is_singular(const, self.source.field):
             raise GermError("matrix is singular at the base point")
 
     @classmethod
@@ -526,7 +531,7 @@ class Contact(GroupElement):
                 if all(e == 0 for e in mon[nsrc: nsrc + self.target.nx]):
                     raise GermError(
                         f"component for {name!r} does not vanish on the zero section")
-        if _field_matrix_inverse(self._target_linear(), self.source.field) is None:
+        if _is_singular(self._target_linear(), self.source.field):
             raise GermError("target-linear part is singular at the base point")
         for q in self.target.ideal_gen_jets():
             image = self._pull_generator(q)

@@ -44,6 +44,25 @@ F3S = (
     "map g = (2*x^2)\n"
 )
 
+F5S = (
+    "field F5\n"
+    "jet 2\n"
+    "source vars: x ideal: ()\n"
+    "target vars: u ideal: ()\n"
+    "map f = (x^2)\n"
+    "map g = (2*x^2)\n"
+    "map h = (x^2+x)\n"
+)
+
+# compiled-system files for `solve -`: the R system of F3S (f, g) and of
+# F5S (f, g), and two equations whose roots lie in F9 and in F27 only
+SYS_F3 = '{"unknowns": ["a1", "a2", "z"], "equations": ["2*a1^2+2", "a1*z+2"]}'
+SYS_F5 = '{"unknowns": ["a1", "a2", "z"], "equations": ["2*a1^2+4", "a1*z+4"]}'
+ROOTS_F3 = ('{"unknowns": ["r", "w"], '
+            '"equations": ["r^2+2*r+2", "w^3+2*w+2", "r*w+w+1"]}')
+QUAD_F3 = '{"unknowns": ["r"], "equations": ["r^2+2*r+2"]}'
+CUBIC_F3 = '{"unknowns": ["w"], "equations": ["w^3+2*w+2"]}'
+
 
 @pytest.fixture(scope="module")
 def sessions(tmp_path_factory):
@@ -273,6 +292,63 @@ GOLDEN = [
      "descend --group LR --map f --map2 ft --level 1 --ext a^2-2 --witness (u)|(x+x^2)"),
     (Q4, 2, "75fd6d127f1dd78596fd3a33af0865e552f642f3fbe49b2c16f1c213b3c7432c",
      "descend --group R --map f --map2 bad --level 1"),
+    # finite fields: extension elements in solutions, solution order and
+    # orbit censuses over F9, F25 and F27, recorded before extension
+    # elements were stored as tuples of raw base-field representations
+    (F3S, 0,
+     "444f0b44a6c09f7b29195bfd28c77413e47a8563c2d0fade8865484c2ceff292",
+     "system --group R --map f --map2 g"),
+    (F5S, 0,
+     "2ae749d6bd63262a93ac8723b4c0ed775e37e2e8e688fb55fa5cac21598bc87d",
+     "system --group L --map f --map2 g"),
+    (F5S, 0,
+     "8c2269e7f7a704f5e5f00ad3a46d5b05689377328ca3002cac940d56cde796c4",
+     "system --group LR --map f --map2 h"),
+    (SYS_F3, 2,
+     "0acf5878b1090a038735f9db931a1b5ff026611a0ed2a792c60df199cbe7d2aa",
+     "solve - --field F3"),
+    (SYS_F3, 0,
+     "db6df7a684afcb15547aca410ac3d9b1b83c4bc37ea04dbcafd49764f5719ffc",
+     "solve - --field F3 --ext b^2+1"),
+    (SYS_F3, 2,
+     "92c5acf162d54e171ccad40b4ea58928a6c6602e4b5cca0fac071c490e2b83be",
+     "solve - --field F3 --ext b^2+1 --base-points"),
+    (SYS_F3, 2,
+     "9f34b57689431681a0055ab575eaf3590c77f52b70bcdc2c1f3c0eed3f3477d5",
+     "solve - --field F3 --ext c^3+2*c+1"),
+    (SYS_F3, 0,
+     "06ff2dc9066f79f6c9bb72c09d7cafde08a1140ed9245539c4cb7d1511e5072d",
+     "solve - --field F3 --method groebner"),
+    (SYS_F5, 0,
+     "f4cbd1693df1d83d072ed0f980e7c3f18f9e99ea908eea9f375a671a7790cfdd",
+     "solve - --field F5 --ext b^2+2"),
+    (SYS_F5, 2,
+     "38d534705fed62b97cde26cfba43cd7efa5b8612a4825a93b54aa2d70cbed0b7",
+     "solve - --field F5 --ext b^2+2 --base-points"),
+    (SYS_F5, 0,
+     "251177f9854bf8fdfba5a843bba866aed345365501966a533d229d1ed965bb4f",
+     "solve - --field F5 --method groebner"),
+    (QUAD_F3, 0,
+     "84fa4673a42cc46f83781092c10fcd98874752bde748d1cd0565371f586578ea",
+     "solve - --field F3 --ext b^2+1"),
+    (CUBIC_F3, 0,
+     "19acaf7565ea69aee9940f5ffc88b01a972fc959cfb9515493f608177bfcd772",
+     "solve - --field F3 --ext c^3+2*c+1"),
+    (ROOTS_F3, 2,
+     "16987660773151808a1e411d41ea233fa95d17e62c3dd150a07e13b4b326fc7e",
+     "solve - --field F3 --method groebner"),
+    (F3S, 0,
+     "184741660f3accd09f79c95a1067bec46e99a6696f329c4b26c661ea5d927782",
+     "orbits --group R --map f --ext b^2+1"),
+    (F3S, 0,
+     "acfa3f0931295ef5e483459ac3bc517f23d57ddfd0efd6c341cdb0adea9fb936",
+     "orbits --group L --map g --ext c^3+2*c+1"),
+    (F5S, 0,
+     "260f2826a1186468445145f2d5ceb448bf4fa3af1a7b7f4aac791461d6748674",
+     "orbits --group R --map f --ext b^2+2"),
+    (F5S, 0,
+     "f5011cd5e845ac1ed965138f90868801e51bac0fe008d2ec17261722d4921410",
+     "orbits --group L --map g --ext b^2+2"),
 ]
 
 

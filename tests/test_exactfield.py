@@ -1,6 +1,12 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
+from sympy.polys import galoistools as gt
+from sympy.polys.domains import QQ, ZZ
 
 from germ.exactfield import (
     FieldError,
@@ -146,3 +152,197 @@ def test_keys_sort_deterministically():
                                     key=lambda e: e.key())]
     assert once == again
     assert len(set(once)) == 9
+
+
+
+def test_pth_root_is_checked_before_it_is_returned(monkeypatch):
+    f9 = make_extension(F3, "b^2+1").top
+    b = f9.generator_env()["b"]
+    # a wrong field size gives the wrong exponent: b^9 = b is no cube root
+    monkeypatch.setattr(f9, "size", lambda: 27)
+    with pytest.raises(FieldError, match="root"):
+        is_pth_power(b, 3)
+
+
+# -- irreducibility of minimal polynomials over finite fields ----------------
+
+X = sympy.Symbol("x")
+
+
+def _sympy_irreducible(coeffs, p):
+    return sympy.Poly(coeffs[::-1], X, modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 101])
+def test_irreducibility_matches_sympy(p):
+    rng = random.Random(p)
+    field = make_field(f"F{p}")
+    polys = [[rng.randrange(p) for _ in range(deg)] + [1]
+             for deg in range(2, 9) for _ in range(6)]
+    if p == 101:
+        polys += [[5, 1, 0, 0, 0, 0, 0, 0, 1], [3, 1, 0, 0, 0, 0, 1]]
+    verdicts = set()
+    for coeffs in polys:
+        try:
+            make_extension(field, tuple(field.from_int(c) for c in coeffs), "b")
+            got = True
+        except FieldError:
+            got = False
+        assert got == _sympy_irreducible(coeffs, p), coeffs
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_degree_eight_over_f101_is_accepted():
+    assert _sympy_irreducible([5, 1, 0, 0, 0, 0, 0, 0, 1], 101)
+    assert make_field("F101[b]/(b^8+b+5)").size() == 101 ** 8
+
+
+# verdicts over F4 = F2[b]/(b^2+b+1), recorded with the exhaustive factor
+# search that Rabin's test replaced
+TOWER_VERDICTS = [
+    ("c^2+c+1", False), ("c^2+c+b", True), ("c^2+b", False),
+    ("c^3+b", True), ("c^3+c+1", True), ("c^4+c+1", False),
+    ("c^2+b*c+1", True), ("c^3+b*c+b", False), ("c^4+c+b", False),
+]
+
+
+@pytest.mark.parametrize("text,irreducible", TOWER_VERDICTS)
+def test_tower_irreducibility_is_unchanged(text, irreducible):
+    f4 = make_extension(F2, "b^2+b+1").top
+    if irreducible:
+        ext = make_extension(f4, text)
+        assert ext.top.size() == 4 ** ext.degree
+    else:
+        with pytest.raises(FieldError, match="reducible"):
+            make_extension(f4, text)
+
+
+# -- an arithmetic oracle for extension fields -----------------------------
+
+# name -> (p, minimal polynomial, its coefficients mod p, descending)
+FINITE = {
+    "F9": (3, "b^2+1", [1, 0, 1]),
+    "F25": (5, "b^2+2", [1, 0, 2]),
+    "F27": (3, "c^3+2*c+1", [1, 0, 2, 1]),
+}
+FINITE_EXT = {name: make_extension(make_field(f"F{p}"), text)
+              for name, (p, text, _) in FINITE.items()}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(FINITE)), st.data())
+def test_finite_extension_arithmetic_matches_galoistools(name, data):
+    p, _, mod = FINITE[name]
+    ext = FINITE_EXT[name]
+    elems = list(ext.top.elements())
+    a = data.draw(st.sampled_from(elems))
+    b = data.draw(st.sampled_from(elems))
+    n = data.draw(st.integers(-30, 60))
+
+    def coords(e):
+        return tuple(c.key() for c in ext.coordinates(e))
+
+    def reduced(poly):
+        rem = gt.gf_rem(poly, mod, p, ZZ)[::-1]
+        return tuple(rem) + (0,) * (ext.degree - len(rem))
+
+    A, B = (gt.gf_strip(list(coords(e))[::-1]) for e in (a, b))
+    assert coords(a + b) == reduced(gt.gf_add(A, B, p, ZZ))
+    assert coords(a - b) == reduced(gt.gf_sub(A, B, p, ZZ))
+    assert coords(a * b) == reduced(gt.gf_mul(A, B, p, ZZ))
+    if b.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+        return
+    s, _, h = gt.gf_gcdex(B, mod, p, ZZ)
+    assert h == [1]
+    assert coords(b.inverse()) == reduced(s)
+    assert coords(a / b) == reduced(gt.gf_mul(A, s, p, ZZ))
+    assert coords(b ** n) == reduced(gt.gf_pow_mod(s if n < 0 else B, abs(n), mod, p, ZZ))
+
+
+QSQRT2 = make_extension(Q, "a^2-2")
+SQRT2_MOD = sympy.Poly(X**2 - 2, X, domain=QQ)
+SMALL_FRACTIONS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(SMALL_FRACTIONS, min_size=4, max_size=4), st.integers(-6, 12))
+def test_sqrt2_arithmetic_matches_sympy_remainders(cs, n):
+    gen = QSQRT2.top.generator
+
+    def elem(c0, c1):
+        q0, q1 = (Q.from_int(c.numerator) / Q.from_int(c.denominator) for c in (c0, c1))
+        e = QSQRT2.embed(q0) + QSQRT2.embed(q1) * gen
+        assert coords(e) == (c0, c1)
+        return e
+
+    def coords(e):
+        return tuple(c.key() for c in QSQRT2.coordinates(e))
+
+    def poly(c0, c1):
+        return sympy.Poly([sympy.Rational(c1.numerator, c1.denominator),
+                           sympy.Rational(c0.numerator, c0.denominator)], X, domain=QQ)
+
+    def reduced(pl):
+        rem = [Fraction(int(c.p), int(c.q)) for c in pl.rem(SQRT2_MOD).all_coeffs()[::-1]]
+        return tuple(rem) + (Fraction(0),) * (2 - len(rem))
+
+    a, b = elem(cs[0], cs[1]), elem(cs[2], cs[3])
+    A, B = poly(cs[0], cs[1]), poly(cs[2], cs[3])
+    assert coords(a + b) == reduced(A + B)
+    assert coords(a * b) == reduced(A * B)
+    if b.is_zero():
+        return
+    inv = B.invert(SQRT2_MOD)
+    assert coords(b.inverse()) == reduced(inv)
+    assert coords(a / b) == reduced(A * inv)
+    assert coords(b ** n) == reduced((inv if n < 0 else B) ** abs(n))
+
+
+F16 = make_extension(make_extension(F2, "b^2+b+1").top, "c^2+c+b").top
+F16_ELEMS = list(F16.elements())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(F16_ELEMS), st.sampled_from(F16_ELEMS),
+       st.sampled_from(F16_ELEMS))
+def test_tower_arithmetic_obeys_the_field_axioms(a, b, c):
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + F16.zero == a and a * F16.one == a
+    assert (a - a).is_zero() and a + a == F16.zero
+    assert a ** 16 == a
+    if not a.is_zero():
+        assert a * a.inverse() == F16.one
+        assert a ** 15 == F16.one
+
+
+# str, key() and coordinates in elements() order, recorded before extension
+# elements were stored as tuples of raw base-field representations
+PINNED_STR = {
+    "F9": ["0", "b", "2*b", "1", "b+1", "2*b+1", "2", "b+2", "2*b+2"],
+    "F27": ["0", "c^2", "2*c^2", "c", "c^2+c", "2*c^2+c", "2*c", "c^2+2*c",
+            "2*c^2+2*c", "1", "c^2+1", "2*c^2+1", "c+1", "c^2+c+1",
+            "2*c^2+c+1", "2*c+1", "c^2+2*c+1", "2*c^2+2*c+1", "2", "c^2+2",
+            "2*c^2+2", "c+2", "c^2+c+2", "2*c^2+c+2", "2*c+2", "c^2+2*c+2",
+            "2*c^2+2*c+2"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STR))
+def test_element_strings_keys_and_coordinates_are_pinned(name):
+    ext = FINITE_EXT[name]
+    elems = list(ext.top.elements())
+    # the recorded keys are the coordinate tuples in lexicographic order
+    keys = list(itertools.product(range(3), repeat=ext.degree))
+    assert [str(e) for e in elems] == PINNED_STR[name]
+    assert [e.key() for e in elems] == keys
+    for e, key in zip(elems, keys):
+        coords = ext.coordinates(e)
+        assert all(c.field == F3 for c in coords)
+        assert tuple(c.key() for c in coords) == key
+        assert [str(c) for c in coords] == [str(k) for k in key]

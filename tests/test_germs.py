@@ -415,3 +415,20 @@ def test_group_level_matches_the_exhaustive_action(shape, tag, F, rng, which):
     filt = filts[which % len(filts)]
     g = _random_element(rng, tag, X, Y)
     assert group_level(g, X, Y, filt) == _oracle_level(g, X, Y, filt)
+
+
+def test_singular_linear_parts_are_rejected():
+    f9 = make_field("F3[b]/(b^2+1)")
+    X2 = JetRing(f9, ["x", "y"], 2)
+    Y2 = JetRing(f9, ["u", "v"], 2)
+    joint = product_ring(X2, Y2)
+    RightAut(X2, [X2.from_expr("x+b*y"), X2.from_expr("b*x+y")])
+    with pytest.raises(GermError, match="singular linear part"):
+        RightAut(X2, [X2.from_expr("x+b*y"), X2.from_expr("b*x+2*y")])
+    one, b = X2.one, X2.from_expr("b")
+    ContactLinPair(X2, Y2, [[one, b], [b, one]])
+    with pytest.raises(GermError, match="singular at the base point"):
+        ContactLinPair(X2, Y2, [[one + X2.from_expr("x"), b], [b, 2 * one]])
+    Contact(X2, Y2, [joint.from_expr("u+b*v"), joint.from_expr("b*u+v")])
+    with pytest.raises(GermError, match="target-linear part is singular"):
+        Contact(X2, Y2, [joint.from_expr("u+b*v+x*u"), joint.from_expr("b*u+2*v")])
