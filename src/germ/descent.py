@@ -23,10 +23,9 @@ from typing import Optional
 
 from .jets import Jet, Filtration, filtration_make, nullspace
 from .germs import (
-    MapGerm, GroupElement, RightAut, LeftAut, LRPair, Contact, ContactPair,
-    ContactLinPair, group_level, extend_ring, extend_map,
+    MapGerm, GroupElement, group_level, extend_ring, extend_map, map_jets,
 )
-from .tangent import tangent_space, exp_combination
+from .tangent import tangent_space
 
 
 class DescentError(ValueError):
@@ -205,20 +204,10 @@ def stabilizer_sample(tag: str, f: MapGerm, j: int, filt: Filtration,
     rng = random.Random(seed)
     frame = tangent_space(tag, f, j, filt)
     field = f.source.field
-    parts = {}
-    kinds = sorted({e.kind for e in frame.entries})
-    for kind in kinds:
+    coeffs = [field.zero] * len(frame.entries)
+    for kind in sorted({e.kind for e in frame.entries}):
         idx = [i for i, e in enumerate(frame.entries) if e.kind == kind]
-        if not idx:
-            continue
-        cols = [frame.images[i] for i in idx]
-        rows = []
-        dim = len(cols[0])
-        for p in range(dim):
-            row = [col[p] for col in cols]
-            if any(not e.is_zero() for e in row):
-                rows.append(row)
-        kernel = nullspace(rows, len(cols), field)
+        kernel = nullspace(zip(*(frame.images[i] for i in idx)), len(idx), field)
         if not kernel:
             continue
         combo = None
@@ -233,15 +222,9 @@ def stabilizer_sample(tag: str, f: MapGerm, j: int, filt: Filtration,
                 combo = [a + b for a, b in zip(combo, piece_coeffs)]
         if combo is None:
             combo = list(kernel[0])
-        total = None
         for c, i in zip(combo, idx):
-            if c.is_zero():
-                continue
-            piece = frame.entries[i].scale(c)
-            total = piece if total is None else total.add(piece)
-        if total is not None and not total.is_zero():
-            parts[kind] = total
-    element = exp_combination(tag, parts, f.source, f.target)
+            coeffs[i] = c
+    element = frame.element_from(coeffs)
     report = verify_witness(element, f, f)
     if not report["ok"]:
         raise DescentError(f"sampled element does not stabilize: {report}")
@@ -266,26 +249,7 @@ def central_fiber(f: MapGerm) -> MapGerm:
 
 def element_t_slice(element: GroupElement) -> GroupElement:
     """The parameter-zero slice of a group element, in the family ring."""
-    if isinstance(element, RightAut):
-        return RightAut(element.ring, [_t0_jet(c) for c in element.comps],
-                        validate=False)
-    if isinstance(element, LeftAut):
-        return LeftAut(element.ring, [_t0_jet(c) for c in element.comps],
-                       validate=False)
-    if isinstance(element, LRPair):
-        return LRPair(element_t_slice(element.left), element_t_slice(element.right))
-    if isinstance(element, ContactLinPair):
-        rows = [[_t0_jet(e) for e in row] for row in element.matrix]
-        return ContactLinPair(element.source, element.target, rows,
-                              element_t_slice(element.right), validate=False)
-    if isinstance(element, Contact):
-        return Contact(element.source, element.target,
-                       [_t0_jet(c) for c in element.comps],
-                       joint=element.joint, validate=False)
-    if isinstance(element, ContactPair):
-        return ContactPair(element_t_slice(element.contact),
-                           element_t_slice(element.right))
-    raise DescentError(f"cannot slice {element.tag}")
+    return map_jets(element, lambda jet, ring: _t0_jet(jet))
 
 
 def family_trivialize(tag: str, f_family: MapGerm, ext=None,

@@ -21,6 +21,7 @@ level because each step strictly increases the error's order.
 
 from __future__ import annotations
 
+import itertools
 from typing import Optional, Sequence
 
 from .exactfield import Field, FieldElem
@@ -289,8 +290,7 @@ class RightAut(GroupElement):
         for name, c in zip(self.ring.xvars, self.comps):
             if not c.constant_term().is_zero():
                 raise GermError(f"component for {name!r} has a constant term")
-        lin = _linear_matrix(self.comps, self.ring)
-        if _is_singular(lin, self.ring.field):
+        if _is_singular(self.linear_part(), self.ring.field):
             raise GermError("coordinate change has a singular linear part")
         mapping = dict(zip(self.ring.xvars, self.comps))
         args = _identity_args(self.ring, mapping)
@@ -298,6 +298,10 @@ class RightAut(GroupElement):
             image = g.substitute(args, ring=self.ring)
             if not image.is_zero():
                 raise GermError(f"coordinate change does not preserve the ideal: moves {g}")
+
+    def linear_part(self):
+        """Coefficients of the plain geometric variables in each component."""
+        return _linear_matrix(self.comps, self.ring)
 
     @classmethod
     def identity(cls, ring: JetRing) -> "RightAut":
@@ -351,6 +355,9 @@ class LeftAut(GroupElement):
             self._inner = RightAut(ring, comps)  # same conditions, target side
         else:
             self._inner = RightAut(ring, self.comps, validate=False)
+
+    def linear_part(self):
+        return self._inner.linear_part()
 
     @classmethod
     def identity(cls, ring: JetRing) -> "LeftAut":
@@ -450,9 +457,12 @@ class ContactLinPair(GroupElement):
         m = self.target.nx
         if len(self.matrix) != m or any(len(row) != m for row in self.matrix):
             raise GermError(f"matrix must be {m} by {m}")
-        const = [[e.constant_term() for e in row] for row in self.matrix]
-        if _is_singular(const, self.source.field):
+        if _is_singular(self.linear_part(), self.source.field):
             raise GermError("matrix is singular at the base point")
+
+    def linear_part(self):
+        """The matrix at the base point."""
+        return [[e.constant_term() for e in row] for row in self.matrix]
 
     @classmethod
     def identity(cls, source: JetRing, target: JetRing) -> "ContactLinPair":
@@ -531,14 +541,15 @@ class Contact(GroupElement):
                 if all(e == 0 for e in mon[nsrc: nsrc + self.target.nx]):
                     raise GermError(
                         f"component for {name!r} does not vanish on the zero section")
-        if _is_singular(self._target_linear(), self.source.field):
+        if _is_singular(self.linear_part(), self.source.field):
             raise GermError("target-linear part is singular at the base point")
         for q in self.target.ideal_gen_jets():
             image = self._pull_generator(q)
             if not image.is_zero():
                 raise GermError(f"components carry {q} outside the ideal span")
 
-    def _target_linear(self):
+    def linear_part(self):
+        """Coefficients of the plain target variables in each component."""
         nsrc = self.source.nx
         rows = []
         for c in self.comps:
@@ -590,7 +601,7 @@ class Contact(GroupElement):
 
     def fiber_inverse(self) -> "Contact":
         """The tuple D with D(x, self(x, y)) = y, by Newton steps in y."""
-        B = self._target_linear()
+        B = self.linear_part()
         Binv = _field_matrix_inverse(B, self.joint.field)
         ys = [self.joint.var(n) for n in self.target.xvars]
         D = [sum((y.scale(Binv[i][j]) for j, y in enumerate(ys)), self.joint.zero)
@@ -701,46 +712,44 @@ def identity_element(tag: str, source: JetRing, target: JetRing) -> GroupElement
 
 # -- group levels -----------------------------------------------------------
 
-def _single_monomial_vectors(source: JetRing, target: JetRing):
+def level_probes(source: JetRing, target: JetRing, linear: bool):
+    """Test maps for levels: single monomial components for actions that are
+    linear in the map (R, Klin), else every tuple of monomials and zeros
+    that respects the target ideal, so that cross terms are seen."""
     m = target.nx
-    zero = source.zero
-    for mon in source.monomials:
-        if sum(mon) == 0:
-            continue
-        jet = source.jet({mon: source.domain.one})
-        if jet.is_zero():
-            continue
-        for slot in range(m):
-            yield tuple(jet if i == slot else zero for i in range(m))
-
-
-def _tuple_vectors(source: JetRing, target: JetRing):
-    m = target.nx
-    choices = [source.zero]
-    for mon in source.monomials:
-        if sum(mon) == 0:
-            continue
-        jet = source.jet({mon: source.domain.one})
-        if not jet.is_zero():
-            choices.append(jet)
-
-    def check(comps) -> bool:
+    units = [jet for jet in (source.jet({mon: source.domain.one})
+                             for mon in source.monomials if sum(mon) > 0)
+             if not jet.is_zero()]
+    if linear:
+        for jet in units:
+            for slot in range(m):
+                yield tuple(jet if i == slot else source.zero for i in range(m))
+        return
+    for comps in itertools.product([source.zero] + units, repeat=m):
         if all(c.is_zero() for c in comps):
-            return False
-        if not target.ideal_gens:
-            return True
-        try:
-            MapGerm(source, target, comps, validate=True)
-        except GermError:
-            return False
-        return True
+            continue
+        if target.ideal_gens:
+            try:
+                MapGerm(source, target, comps, validate=True)
+            except GermError:
+                continue
+        yield comps
 
-    stack = [()]
-    for _ in range(m):
-        stack = [s + (c,) for s in stack for c in choices]
-    for comps in stack:
-        if check(comps):
-            yield comps
+
+def probe_level(image, probes, source: JetRing, filt: Filtration) -> float:
+    """The largest j with ord(image(v)) >= ord(v) + j over the probes v whose
+    image is nonzero, capped by the jet range; -1 when it is below 0."""
+    level = source.order + (source.torder or 0)
+    for probe in probes:
+        out = image(probe)
+        if all(c.is_zero() for c in out):
+            continue
+        jv = filt.order_of(out) - filt.order_of(probe)
+        if jv < level:
+            level = jv
+        if level < 0:
+            return -1
+    return level
 
 
 def _unit_monomial(jet: Jet):
@@ -786,12 +795,9 @@ def _slot_terms(comp: Jet, slots: Sequence[str], source: JetRing):
 
 def group_level(element: GroupElement, source: JetRing, target: JetRing,
                 filt: Filtration) -> float:
-    """The largest j with ord(g.v - v) >= ord(v) + j over test maps v.
-
-    Linear-acting variants are probed on single monomial components; the
-    others on all monomial tuples, so that cross terms between components
-    are seen.  Returns -1 when the element fails even the level-0 bound,
-    which can happen for non-standard filtrations.
+    """The largest j with ord(g.v - v) >= ord(v) + j over the test maps v of
+    ``level_probes``.  Returns -1 when the element fails even the level-0
+    bound, which can happen for non-standard filtrations.
 
     Every probe image is read off one ``PowerTable`` of phi^gamma, phi the
     element's source part (the identity for L and C), with no per-probe
@@ -852,21 +858,8 @@ def group_level(element: GroupElement, source: JetRing, target: JetRing,
             comps.append(source.combination(parts))
         return comps
 
-    if tag in ("R", "Klin"):
-        vectors = _single_monomial_vectors(source, target)
-    else:
-        vectors = _tuple_vectors(source, target)
-    level = source.order + (source.torder or 0)
-    for probe in vectors:
-        diff = [a - b for a, b in zip(moved(probe), probe)]
-        if all(d.is_zero() for d in diff):
-            continue
-        jv = filt.order_of(diff) - filt.order_of(probe)
-        if jv < level:
-            level = jv
-        if level < 0:
-            return -1
-    return level
+    return probe_level(lambda probe: [a - b for a, b in zip(moved(probe), probe)],
+                       level_probes(source, target, tag in ("R", "Klin")), source, filt)
 
 
 # -- change of coefficient field --------------------------------------------
@@ -911,73 +904,40 @@ def restrict_map(f: MapGerm, ext, source_base: JetRing,
     return MapGerm(source_base, target_base, comps, validate=False)
 
 
+def map_jets(element: GroupElement, fn, source: Optional[JetRing] = None,
+             target: Optional[JetRing] = None) -> GroupElement:
+    """``element`` with ``fn(jet, ring)`` in place of each stored jet.
+
+    ``ring`` is the jet's ring in the result: ``source``, ``target`` or,
+    for a contact part, their product ring; ``None`` keeps the element's
+    own rings.
+    """
+    def walk(el):
+        if isinstance(el, RightAut):
+            ring = source or el.ring
+            return RightAut(ring, [fn(c, ring) for c in el.comps], validate=False)
+        if isinstance(el, LeftAut):
+            ring = target or el.ring
+            return LeftAut(ring, [fn(c, ring) for c in el.comps], validate=False)
+        if isinstance(el, LRPair):
+            return LRPair(walk(el.left), walk(el.right))
+        if isinstance(el, ContactLinPair):
+            ring = source or el.source
+            return ContactLinPair(ring, target or el.target,
+                                  [[fn(e, ring) for e in row] for row in el.matrix],
+                                  walk(el.right), validate=False)
+        if isinstance(el, Contact):
+            joint = el.joint if source is None else product_ring(source, target)
+            return Contact(source or el.source, target or el.target,
+                           [fn(c, joint) for c in el.comps], joint=joint, validate=False)
+        if isinstance(el, ContactPair):
+            return ContactPair(walk(el.contact), walk(el.right))
+        raise GermError(f"cannot map the jets of {el.tag}")
+
+    return walk(element)
+
+
 def extend_element(element: GroupElement, ext, source_top: JetRing,
                    target_top: JetRing) -> GroupElement:
-    if isinstance(element, RightAut):
-        return RightAut(source_top,
-                        [extend_jet(c, ext, source_top) for c in element.comps],
-                        validate=False)
-    if isinstance(element, LeftAut):
-        return LeftAut(target_top,
-                       [extend_jet(c, ext, target_top) for c in element.comps],
-                       validate=False)
-    if isinstance(element, LRPair):
-        return LRPair(extend_element(element.left, ext, source_top, target_top),
-                      extend_element(element.right, ext, source_top, target_top))
-    if isinstance(element, ContactLinPair):
-        matrix = [[extend_jet(e, ext, source_top) for e in row] for row in element.matrix]
-        right = extend_element(element.right, ext, source_top, target_top)
-        return ContactLinPair(source_top, target_top, matrix, right, validate=False)
-    if isinstance(element, Contact):
-        joint_top = product_ring(source_top, target_top)
-        return Contact(source_top, target_top,
-                       [extend_jet(c, ext, joint_top) for c in element.comps],
-                       joint=joint_top, validate=False)
-    if isinstance(element, ContactPair):
-        return ContactPair(extend_element(element.contact, ext, source_top, target_top),
-                           extend_element(element.right, ext, source_top, target_top))
-    raise GermError(f"cannot extend {element.tag}")
-
-
-def restrict_element(element: GroupElement, ext, source_base: JetRing,
-                     target_base: JetRing) -> Optional[GroupElement]:
-    if isinstance(element, RightAut):
-        comps = [restrict_jet(c, ext, source_base) for c in element.comps]
-        if any(c is None for c in comps):
-            return None
-        return RightAut(source_base, comps, validate=False)
-    if isinstance(element, LeftAut):
-        comps = [restrict_jet(c, ext, target_base) for c in element.comps]
-        if any(c is None for c in comps):
-            return None
-        return LeftAut(target_base, comps, validate=False)
-    if isinstance(element, LRPair):
-        left = restrict_element(element.left, ext, source_base, target_base)
-        right = restrict_element(element.right, ext, source_base, target_base)
-        if left is None or right is None:
-            return None
-        return LRPair(left, right)
-    if isinstance(element, ContactLinPair):
-        rows = []
-        for row in element.matrix:
-            down = [restrict_jet(e, ext, source_base) for e in row]
-            if any(e is None for e in down):
-                return None
-            rows.append(down)
-        right = restrict_element(element.right, ext, source_base, target_base)
-        if right is None:
-            return None
-        return ContactLinPair(source_base, target_base, rows, right, validate=False)
-    if isinstance(element, Contact):
-        joint_base = product_ring(source_base, target_base)
-        comps = [restrict_jet(c, ext, joint_base) for c in element.comps]
-        if any(c is None for c in comps):
-            return None
-        return Contact(source_base, target_base, comps, joint=joint_base, validate=False)
-    if isinstance(element, ContactPair):
-        contact = restrict_element(element.contact, ext, source_base, target_base)
-        right = restrict_element(element.right, ext, source_base, target_base)
-        if contact is None or right is None:
-            return None
-        return ContactPair(contact, right)
-    raise GermError(f"cannot restrict {element.tag}")
+    return map_jets(element, lambda jet, ring: extend_jet(jet, ext, ring),
+                    source_top, target_top)

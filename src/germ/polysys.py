@@ -16,7 +16,6 @@ into its finitely many base-field orbits.
 from __future__ import annotations
 
 import itertools
-import os
 from typing import Optional, Sequence
 
 from .exactfield import (
@@ -26,8 +25,7 @@ from . import expr
 from .jets import Jet, JetRing, Filtration, filtration_make
 from .germs import (
     MapGerm, RightAut, LeftAut, LRPair, ContactLinPair, Contact, ContactPair,
-    GermError, product_ring, extend_ring, extend_map, restrict_map,
-    _single_monomial_vectors, _tuple_vectors,
+    GermError, product_ring, extend_ring, extend_map, restrict_map, level_probes,
 )
 
 
@@ -357,6 +355,32 @@ def _det(entries, ring: PolyRing) -> Poly:
     return total
 
 
+def _factor_elements(factors, source: JetRing, target: JetRing,
+                     joint: Optional[JetRing], coeff, validate: bool = True) -> dict:
+    """The group factor of each part, with ``coeff(name)`` at every unknown's
+    (name, position, monomial); the Klin matrix as a ContactLinPair with
+    identity source change."""
+    out = {}
+    for part, entries in factors.items():
+        if part == "mat":
+            m = target.nx
+            rows = [[{} for _ in range(m)] for _ in range(m)]
+            for name, (i, l), mon in entries:
+                rows[i][l][mon] = coeff(name)
+            out[part] = ContactLinPair(source, target, rows, validate=validate)
+            continue
+        comps = [{} for _ in range(source.nx if part == "right" else target.nx)]
+        for name, i, mon in entries:
+            comps[i][mon] = coeff(name)
+        if part == "right":
+            out[part] = RightAut(source, comps, validate=validate)
+        elif part == "left":
+            out[part] = LeftAut(target, comps, validate=validate)
+        else:
+            out[part] = Contact(source, target, comps, joint=joint, validate=validate)
+    return out
+
+
 def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
                    filt: Optional[Filtration] = None) -> PolySystem:
     """The polynomial system whose solutions are group data carrying f to
@@ -422,32 +446,20 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
 
     PR = PolyRing(field, names)
     S_source = _domain_twin(source, PR)
-    S_target = _domain_twin(target, PR) if "left" in parts else None
+    S_target = _domain_twin(target, PR)
     S_joint = _domain_twin(joint_k, PR) if joint_k is not None else None
 
-    # the unknown group data as jets with polynomial coefficients
-    data = {}
-    if "right" in parts:
-        comps = [dict() for _ in range(source.nx)]
-        for name, i, mon in factors["right"]:
-            comps[i][mon] = PR.var(name)
-        data["right"] = tuple(S_source.jet(c) for c in comps)
-    if "left" in parts:
-        comps = [dict() for _ in range(target.nx)]
-        for name, i, mon in factors["left"]:
-            comps[i][mon] = PR.var(name)
-        data["left"] = tuple(S_target.jet(c) for c in comps)
-    if "mat" in parts:
-        m = target.nx
-        rows = [[dict() for _ in range(m)] for _ in range(m)]
-        for name, (i, l), mon in factors["mat"]:
-            rows[i][l][mon] = PR.var(name)
-        data["mat"] = tuple(tuple(S_source.jet(e) for e in row) for row in rows)
-    if "contact" in parts:
-        comps = [dict() for _ in range(target.nx)]
-        for name, slot, mon in factors["contact"]:
-            comps[slot][mon] = PR.var(name)
-        data["contact"] = tuple(S_joint.jet(c) for c in comps)
+    # the unknown group data as unvalidated elements over jets with
+    # polynomial coefficients; the target-side factor comes first in parts
+    elements = _factor_elements(factors, S_source, S_target, S_joint, PR.var,
+                                validate=False)
+    right = elements.get("right")
+    outer = elements.get(parts[0]) if parts[0] != "right" else None
+
+    def act(element, comps):
+        if element is None:
+            return comps
+        return element.act(MapGerm(S_source, S_target, comps, validate=False)).components
 
     equations = []
     tags = []
@@ -470,133 +482,49 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
             info.update(where)
             push(jet.coeffs[mon], info)
 
-    def right_args():
-        args = {name: data["right"][i] for i, name in enumerate(source.xvars)}
-        for t in source.tvars:
-            args[t] = S_source.var(t)
-        return args
-
-    def apply_left(base):
-        # unknown target change evaluated on a component tuple over the source
-        largs = {name: base[i] for i, name in enumerate(target.xvars)}
-        for t in target.tvars:
-            largs[t] = S_source.var(t)
-        return [c.substitute(largs, ring=S_source) for c in data["left"]]
-
-    def apply_contact(base):
-        cargs = {name: S_source.var(name) for name in source.xvars}
-        for i, name in enumerate(target.xvars):
-            cargs[name] = base[i]
-        for t in source.tvars:
-            cargs[t] = S_source.var(t)
-        return [c.substitute(cargs, ring=S_source) for c in data["contact"]]
-
-    def apply_mat(base):
-        m = target.nx
-        out = []
-        for i in range(m):
-            acc = S_source.zero
-            for l in range(m):
-                acc = acc + data["mat"][i][l] * base[l]
-            out.append(acc)
-        return out
-
-    f_S = [_embed_jet(c, S_source) for c in f.components]
-    ft_S = [_embed_jet(c, S_source) for c in f_tilde.components]
-
-    # right-hand side: the second map with the source substitution applied
-    rhs = ([c.substitute(right_args(), ring=S_source) for c in ft_S]
-           if "right" in parts else ft_S)
-
-    # left-hand side: the target-side factor applied to the first map
-    if tag == "R":
-        lhs = f_S
-    elif tag in ("L", "LR"):
-        lhs = apply_left(f_S)
-    elif tag == "Klin":
-        lhs = apply_mat(f_S)
-    else:
-        lhs = apply_contact(f_S)
-
+    # the target-side factor applied to the first map must equal the second
+    # map with the source substitution applied
+    lhs = act(outer, [_embed_jet(c, S_source) for c in f.components])
+    rhs = act(right, [_embed_jet(c, S_source) for c in f_tilde.components])
     for i, (a, b) in enumerate(zip(lhs, rhs)):
         push_jet(b - a, "match", {"component": i})
 
     # the source change must respect the source ideal, and likewise on the
     # target side; images are reduced in the quotient, so their canonical
     # coefficients are the conditions
-    if "right" in parts and source.ideal_gens:
-        rargs = right_args()
-        for gi, g in enumerate(source.ideal_gen_jets()):
-            image = _embed_jet(g, S_source.raw()).substitute(rargs, ring=S_source)
-            push_jet(image, "source-ideal", {"generator": gi})
-    if "left" in parts and target.ideal_gens:
-        largs = {name: data["left"][i] for i, name in enumerate(target.xvars)}
-        for t in target.tvars:
-            largs[t] = S_target.var(t)
-        for gi, g in enumerate(target.ideal_gen_jets()):
-            image = _embed_jet(g, S_target.raw()).substitute(largs, ring=S_target)
-            push_jet(image, "target-ideal", {"generator": gi})
-    if "contact" in parts and target.ideal_gens:
-        jargs = {name: S_joint.var(name) for name in source.xvars}
-        for i, name in enumerate(target.xvars):
-            jargs[name] = data["contact"][i]
-        for t in joint_k.tvars:
-            jargs[t] = S_joint.var(t)
-        for gi, g in enumerate(target.ideal_gen_jets()):
-            lifted = {}
-            for mon, c in g.coeffs.items():
-                new = [0] * len(joint_k.variables)
-                for pos, e in enumerate(mon):
-                    new[joint_k.var_index[target.variables[pos]]] = e
-                lifted[tuple(new)] = PR.embed_base(c)
-            image = S_joint.raw().jet(lifted).substitute(jargs, ring=S_joint)
-            push_jet(image, "target-ideal", {"generator": gi})
+    pulls = []
+    if right is not None:
+        pulls.append(("source-ideal", source, S_source, right.substitute_into))
+    if "left" in elements:
+        pulls.append(("target-ideal", target, S_target,
+                      elements["left"]._inner.substitute_into))
+    if "contact" in elements:
+        pulls.append(("target-ideal", target, S_target, elements["contact"]._pull_generator))
+    for condition, ring, twin, pull in pulls:
+        for gi, g in enumerate(ring.ideal_gen_jets()):
+            push_jet(pull(_embed_jet(g, twin.raw())), condition, {"generator": gi})
 
     # invertibility of each factor, by a product unknown against the
     # relevant determinant at the base point
-    def unit_vector_mon(total, pos):
-        return tuple(1 if p == pos else 0 for p in range(total))
-
     for part in parts:
-        if part == "right":
-            lin = [[data["right"][i].coeffs.get(
-                        unit_vector_mon(len(source.variables), l), PR.zero)
-                    for l in range(source.nx)] for i in range(source.nx)]
-        elif part == "left":
-            lin = [[data["left"][i].coeffs.get(
-                        unit_vector_mon(len(target.variables), l), PR.zero)
-                    for l in range(target.nx)] for i in range(target.nx)]
-        elif part == "mat":
-            lin = [[data["mat"][i][l].coeffs.get(source.unit_mon, PR.zero)
-                    for l in range(target.nx)] for i in range(target.nx)]
-        else:
-            lin = [[data["contact"][i].coeffs.get(
-                        unit_vector_mon(len(joint_k.variables), source.nx + l), PR.zero)
-                    for l in range(target.nx)] for i in range(target.nx)]
-        push(_det(lin, PR) * PR.var(aux_names[part]) - PR.one,
+        push(_det(elements[part].linear_part(), PR) * PR.var(aux_names[part]) - PR.one,
              {"condition": "invertibility", "factor": part})
 
     # confinement to the level subgroup: acting on every test map must
     # raise its filtration order by at least the level
     if level > 0:
-        linear_action = tag in ("R", "Klin")
-        vectors = (_single_monomial_vectors(source, target) if linear_action
-                   else _tuple_vectors(source, target))
-        for v in vectors:
+        if outer is None or right is None:
+            whole = outer or right
+        elif tag == "Klin":
+            whole = ContactLinPair(S_source, S_target, outer.matrix, right, validate=False)
+        else:
+            whole = (LRPair if tag == "LR" else ContactPair)(outer, right)
+        for v in level_probes(source, target, tag in ("R", "Klin")):
             d = filt.order_of(v)
             if d == float("inf"):
                 continue
             v_S = [_embed_jet(c, S_source) for c in v]
-            base = ([c.substitute(right_args(), ring=S_source) for c in v_S]
-                    if "right" in parts else v_S)
-            if tag == "R":
-                moved = base
-            elif tag == "Klin":
-                moved = apply_mat(base)
-            elif tag in ("L", "LR"):
-                moved = apply_left(base)
-            else:
-                moved = apply_contact(base)
+            moved = act(whole, v_S)
             for i, (mv, orig) in enumerate(zip(moved, v_S)):
                 push_jet(mv - orig, "level",
                          {"component": i, "test_order": int(d)},
@@ -677,31 +605,7 @@ def assemble_witness(system: PolySystem, solution: dict):
             raise PolyError(f"solution value for {name!r} is not in {field}")
         return v
 
-    built = {}
-    factors = lay["factors"]
-    if "right" in factors:
-        comps = [dict() for _ in range(source.nx)]
-        for name, i, mon in factors["right"]:
-            comps[i][mon] = value(name)
-        built["right"] = RightAut(source, [source.jet(c) for c in comps])
-    if "left" in factors:
-        comps = [dict() for _ in range(target.nx)]
-        for name, i, mon in factors["left"]:
-            comps[i][mon] = value(name)
-        built["left"] = LeftAut(target, [target.jet(c) for c in comps])
-    if "mat" in factors:
-        m = target.nx
-        rows = [[dict() for _ in range(m)] for _ in range(m)]
-        for name, (i, l), mon in factors["mat"]:
-            rows[i][l][mon] = value(name)
-        built["mat"] = [[source.jet(e) for e in row] for row in rows]
-    if "contact" in factors:
-        joint = lay["joint"]
-        comps = [dict() for _ in range(target.nx)]
-        for name, slot, mon in factors["contact"]:
-            comps[slot][mon] = value(name)
-        built["contact"] = [joint.jet(c) for c in comps]
-
+    built = _factor_elements(lay["factors"], source, target, lay["joint"], value)
     if tag == "R":
         witness = built["right"].inverse()
     elif tag == "L":
@@ -711,16 +615,14 @@ def assemble_witness(system: PolySystem, solution: dict):
         B = LRPair(LeftAut.identity(target), built["right"])
         witness = B.inverse().compose(A)
     elif tag == "Klin":
-        A = ContactLinPair(source, target, built["mat"])
         B = ContactLinPair(source, target,
                            ContactLinPair.identity(source, target).matrix,
                            built["right"], validate=False)
-        witness = B.inverse().compose(A)
+        witness = B.inverse().compose(built["mat"])
     elif tag == "C":
-        witness = Contact(source, target, built["contact"], joint=lay["joint"])
+        witness = built["contact"]
     else:
-        A = ContactPair(Contact(source, target, built["contact"], joint=lay["joint"]),
-                        RightAut.identity(source))
+        A = ContactPair(built["contact"], RightAut.identity(source))
         B = ContactPair(Contact.identity(source, target, joint=lay["joint"]),
                         built["right"])
         witness = B.inverse().compose(A)
@@ -856,7 +758,7 @@ def _cof_reduce(p: Poly, cof, basis):
     return remainder, cof
 
 
-def groebner_inconsistent(system, cap: Optional[int] = None) -> GroebnerReport:
+def groebner_inconsistent(system, cap: int = 20000) -> GroebnerReport:
     """Is 1 in the ideal of the equations?  Decided by a plain Buchberger
     run in degree-reverse-lexicographic order.
 
@@ -879,8 +781,6 @@ def groebner_inconsistent(system, cap: Optional[int] = None) -> GroebnerReport:
                 or (isinstance(field, ExtensionField) and field.is_finite()))
     if not ok_field:
         raise PolyError(f"Groebner bases over {field} are not supported")
-    if cap is None:
-        cap = int(os.environ.get("GERM_SPAIR_CAP", "20000"))
 
     def unit_vec(i, scale):
         v = [ring.zero] * len(equations)

@@ -25,6 +25,7 @@ when a needed factorial vanishes.
 
 from __future__ import annotations
 
+import copy
 from typing import Optional, Sequence
 
 from .jets import (
@@ -33,8 +34,8 @@ from .jets import (
 )
 from .germs import (
     MapGerm, GroupElement, RightAut, LeftAut, LRPair, Contact, ContactPair,
-    ContactLinPair, product_ring, matrix_apply, matrix_mul,
-    _identity_args, _reindex, _single_monomial_vectors, _tuple_vectors,
+    ContactLinPair, product_ring, matrix_apply, matrix_mul, level_probes,
+    probe_level, _identity_args, _reindex,
 )
 
 
@@ -75,94 +76,88 @@ class TangentVector:
         raise NotImplementedError
 
 
-class DerVector(TangentVector):
-    """A source derivation sum(a_i d/dx_i) with vanishing coefficients at 0."""
+class _Derivation(TangentVector):
+    """A derivation sum(c_i d/dn_i) over ``ring``, stored as the jets c_i."""
 
-    kind = "R"
+    label = "?"
 
-    def __init__(self, ring: JetRing, comps: Sequence[Jet]):
+    def __init__(self, ring: JetRing, names: Sequence[str], comps: Sequence[Jet]):
         self.ring = ring
+        self.names = tuple(names)
         self.comps = tuple(ring.jet(c) for c in comps)
-        if len(self.comps) != ring.nx:
-            raise TangentError(f"expected {ring.nx} coefficients")
+        if len(self.comps) != len(self.names):
+            raise TangentError(f"expected {len(self.names)} coefficients")
+
+    def _with(self, comps):
+        new = copy.copy(self)
+        new.comps = tuple(comps)
+        return new
 
     def derive(self, h: Jet) -> Jet:
         out = self.ring.zero
-        for name, a in zip(self.ring.xvars, self.comps):
+        for name, a in zip(self.names, self.comps):
             if not a.is_zero():
                 out = out + a * h.derivative(name)
         return out
 
-    def apply_comps(self, comps, source):
-        return [self.derive(c) for c in comps]
+    def flow(self):
+        """The components of the flow at time 1 (``_exp_derivation``)."""
+        return _exp_derivation(self.ring, self.names, self.derive)
 
     def add(self, other):
-        return DerVector(self.ring, [a + b for a, b in zip(self.comps, other.comps)])
+        return self._with([a + b for a, b in zip(self.comps, other.comps)])
 
     def scale(self, c):
-        return DerVector(self.ring, [a.scale(c) for a in self.comps])
+        return self._with([a.scale(c) for a in self.comps])
 
     def is_zero(self):
         return all(a.is_zero() for a in self.comps)
-
-    def exp(self) -> RightAut:
-        comps = _exp_derivation(self.ring, self.ring.xvars, self.derive)
-        return RightAut(self.ring, comps, validate=False)
 
     def key(self):
         return tuple(c.key() for c in self.comps)
 
     def describe(self):
-        return {"kind": "source", "coefficients": [str(c) for c in self.comps],
-                "along": list(self.ring.xvars)}
+        return {"kind": self.label, "coefficients": [str(c) for c in self.comps],
+                "along": list(self.names)}
 
     def __repr__(self):
-        terms = [f"({c}) d/d{n}" for n, c in zip(self.ring.xvars, self.comps)
+        terms = [f"({c}) d/d{n}" for n, c in zip(self.names, self.comps)
                  if not c.is_zero()]
         return " + ".join(terms) if terms else "0"
 
 
-class TargetDerVector(TangentVector):
+class DerVector(_Derivation):
+    """A source derivation sum(a_i d/dx_i) with vanishing coefficients at 0."""
+
+    kind = "R"
+    label = "source"
+
+    def __init__(self, ring: JetRing, comps: Sequence[Jet]):
+        super().__init__(ring, ring.xvars, comps)
+
+    def apply_comps(self, comps, source):
+        return [self.derive(c) for c in comps]
+
+    def exp(self) -> RightAut:
+        return RightAut(self.ring, self.flow(), validate=False)
+
+
+class TargetDerVector(_Derivation):
     """A target derivation sum(b_j d/dy_j), applied by substituting the map."""
 
     kind = "L"
+    label = "target"
 
     def __init__(self, ring: JetRing, comps: Sequence[Jet]):
-        self.ring = ring
-        self.comps = tuple(ring.jet(c) for c in comps)
-        if len(self.comps) != ring.nx:
-            raise TangentError(f"expected {ring.nx} coefficients")
+        super().__init__(ring, ring.xvars, comps)
 
     def apply_comps(self, comps, source):
         mapping = dict(zip(self.ring.xvars, comps))
         args = _identity_args(source, mapping)
         return [b.substitute(args, ring=source) for b in self.comps]
 
-    def add(self, other):
-        return TargetDerVector(self.ring, [a + b for a, b in zip(self.comps, other.comps)])
-
-    def scale(self, c):
-        return TargetDerVector(self.ring, [a.scale(c) for a in self.comps])
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.comps)
-
     def exp(self) -> LeftAut:
-        inner = DerVector(self.ring, self.comps)
-        comps = _exp_derivation(self.ring, self.ring.xvars, inner.derive)
-        return LeftAut(self.ring, comps, validate=False)
-
-    def key(self):
-        return tuple(c.key() for c in self.comps)
-
-    def describe(self):
-        return {"kind": "target", "coefficients": [str(c) for c in self.comps],
-                "along": list(self.ring.xvars)}
-
-    def __repr__(self):
-        terms = [f"({c}) d/d{n}" for n, c in zip(self.ring.xvars, self.comps)
-                 if not c.is_zero()]
-        return " + ".join(terms) if terms else "0"
+        return LeftAut(self.ring, self.flow(), validate=False)
 
 
 class MatVector(TangentVector):
@@ -217,17 +212,18 @@ class MatVector(TangentVector):
         return f"<matrix direction {len(self.rows)}x{len(self.rows)}>"
 
 
-class ContactVector(TangentVector):
+class ContactVector(_Derivation):
     """A fiberwise target derivation over the joint source-target ring."""
 
     kind = "C"
+    label = "contact"
 
     def __init__(self, source: JetRing, target: JetRing, comps,
                  joint: Optional[JetRing] = None):
         self.source = source
         self.target = target
         self.joint = joint if joint is not None else product_ring(source, target)
-        self.comps = tuple(self.joint.jet(c) for c in comps)
+        super().__init__(self.joint, target.xvars, comps)
 
     def apply_comps(self, comps, source):
         mapping = dict(zip(self.target.xvars, comps))
@@ -236,40 +232,9 @@ class ContactVector(TangentVector):
         args = _identity_args(source, mapping)
         return [c.substitute(args, ring=source) for c in self.comps]
 
-    def add(self, other):
-        return ContactVector(self.source, self.target,
-                             [a + b for a, b in zip(self.comps, other.comps)],
-                             joint=self.joint)
-
-    def scale(self, c):
-        return ContactVector(self.source, self.target,
-                             [a.scale(c) for a in self.comps], joint=self.joint)
-
-    def is_zero(self):
-        return all(a.is_zero() for a in self.comps)
-
-    def derive(self, h: Jet) -> Jet:
-        out = self.joint.zero
-        for name, c in zip(self.target.xvars, self.comps):
-            if not c.is_zero():
-                out = out + c * h.derivative(name)
-        return out
-
     def exp(self) -> Contact:
-        comps = _exp_derivation(self.joint, self.target.xvars, self.derive)
-        return Contact(self.source, self.target, comps, joint=self.joint, validate=False)
-
-    def key(self):
-        return tuple(c.key() for c in self.comps)
-
-    def describe(self):
-        return {"kind": "contact", "coefficients": [str(c) for c in self.comps],
-                "along": list(self.target.xvars)}
-
-    def __repr__(self):
-        terms = [f"({c}) d/d{n}" for n, c in zip(self.target.xvars, self.comps)
-                 if not c.is_zero()]
-        return " + ".join(terms) if terms else "0"
+        return Contact(self.source, self.target, self.flow(), joint=self.joint,
+                       validate=False)
 
 
 def _exp_derivation(ring: JetRing, names, derive):
@@ -435,20 +400,13 @@ def der_log(ring: JetRing, include_constants: bool = True):
                 for mon, i in cands]
     span = ideal_span(gens, raw)
     ctx = VectorContext(raw, 1)
-    rows = []
-    per_gen_images = []
+    cols = []
     for mon, i in cands:
         coeff = raw.jet({mon: raw.domain.one})
-        per_gen_images.append([span.residual(ctx.to_vec(coeff * g.derivative(raw.xvars[i])))
-                               for g in gens])
-    for gi in range(len(gens)):
-        for p in range(ctx.dim):
-            row = [per_gen_images[c][gi][p] for c in range(len(cands))]
-            if any(not e.is_zero() for e in row):
-                rows.append(row)
-    kernel = nullspace(rows, len(cands), raw.field)
+        cols.append([e for g in gens
+                     for e in span.residual(ctx.to_vec(coeff * g.derivative(raw.xvars[i])))])
     out = []
-    for vec in kernel:
+    for vec in nullspace(zip(*cols), len(cands), raw.field):
         comps = [raw.zero] * raw.nx
         for c, (mon, i) in zip(vec, cands):
             if not c.is_zero():
@@ -457,234 +415,96 @@ def der_log(ring: JetRing, include_constants: bool = True):
     return out
 
 
-# -- candidate generation with level filters --------------------------------
+def _log_images(vec: _Derivation, gens):
+    """For each ideal generator g, sum c_i * dg/dn_i as a dense vector of
+    ``vec.ring``: zero exactly when the derivation keeps g in the ideal."""
+    ring = vec.ring
+    ctx = VectorContext(ring, 1)
+    images = []
+    for g in gens:
+        val = ring.zero
+        for name, c in zip(vec.names, vec.comps):
+            if not c.is_zero():
+                val = val + c * _reindex(g.derivative(name), ring)
+        images.extend(ctx.to_vec(val))
+    return images
+
+
+# -- candidate generation with levels ---------------------------------------
 
 def _mon_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def _filter_depths(filt: Filtration):
-    return range(1, filt.vanishing_depth())
+def _least_gain(source: JetRing, filt: Filtration, pairs) -> float:
+    """min of ord(pi) - d over the pairs (pi, d) with pi in range; inf if none."""
+    return min((filt.mon_order(pi) - d for pi, d in pairs if source._in_range(pi)),
+               default=float("inf"))
 
 
-def _right_candidates(source: JetRing, filt: Filtration, j: int):
-    """Monomial derivations nu d/dx_i whose action raises order by >= j."""
-    out = []
-    for nu in source.monomials:
-        if sum(nu) == 0:
-            continue
-        for i in range(source.nx):
-            if j >= 1 and not _right_mon_ok(source, filt, j, nu, i):
-                continue
-            comps = [source.jet({nu: source.domain.one}) if l == i else source.zero
-                     for l in range(source.nx)]
-            out.append(DerVector(source, comps))
-    return out
+def _slots(kind: str, jet: Jet, m: int, source, target, joint):
+    """The candidate vectors of a kind that carry ``jet`` in one slot."""
+    zero = jet.ring.zero
+    for slot in range(m):
+        comps = [jet if l == slot else zero for l in range(m)]
+        if kind == "R":
+            yield DerVector(source, comps)
+        elif kind == "L":
+            yield TargetDerVector(target, comps)
+        else:
+            yield ContactVector(source, target, comps, joint=joint)
 
 
-def _right_mon_ok(source, filt, j, nu, i) -> bool:
-    for mu in source.monomials:
-        if mu[i] == 0:
-            continue
-        shifted = list(_mon_add(nu, mu))
-        shifted[i] -= 1
-        pi = tuple(shifted)
-        if not source._in_range(pi):
-            continue
-        if filt.mon_order(pi) < filt.mon_order(mu) + j:
-            return False
-    return True
+def _candidates(kind: str, source: JetRing, target: JetRing,
+                joint: Optional[JetRing], filt: Filtration):
+    """Every monomial candidate of a vector kind, as (least level, vector).
 
-
-def _mat_candidates(source: JetRing, target: JetRing, filt: Filtration, j: int):
-    out = []
-    m = target.nx
-    for alpha in source.monomials:
-        if j >= 1 and not _mat_mon_ok(source, filt, j, alpha):
-            continue
-        entry = source.jet({alpha: source.domain.one})
-        for i in range(m):
-            for l in range(m):
-                rows = [[entry if (r, c) == (i, l) else source.zero
-                         for c in range(m)] for r in range(m)]
-                out.append(MatVector(source, target, rows))
-    return out
-
-
-def _mat_mon_ok(source, filt, j, alpha) -> bool:
-    for d in _filter_depths(filt):
-        for nu in filt.level_set(d):
-            pi = _mon_add(alpha, nu)
-            if not source._in_range(pi):
-                continue
-            if filt.mon_order(pi) < d + j:
-                return False
-    return True
-
-
-def _target_mon_split(target: JetRing, w):
-    """(geometric part degree, parameter exponents) of a target monomial."""
-    e = sum(w[: target.nx])
-    tpart = w[target.nx:]
-    return e, tpart
-
-
-def _left_candidates(source: JetRing, target: JetRing, filt: Filtration, j: int):
-    out = []
-    for w in target.monomials:
-        if sum(w) == 0:
-            continue
-        if j >= 1 and not _left_mon_ok(source, target, filt, j, w):
-            continue
-        jet = target.jet({w: target.domain.one})
-        for slot in range(target.nx):
-            comps = [jet if l == slot else target.zero for l in range(target.nx)]
-            out.append(TargetDerVector(target, comps))
-    return out
-
-
-def _left_mon_ok(source, target, filt, j, w) -> bool:
-    e, tpart = _target_mon_split(target, w)
-    tshift = tuple([0] * source.nx) + tuple(tpart)
-    for d in _filter_depths(filt):
-        prods = filt.product_set(e, d) if e >= 1 else frozenset({source.unit_mon})
-        for nu in prods:
-            pi = _mon_add(nu, tshift)
-            if not source._in_range(pi):
-                continue
-            if filt.mon_order(pi) < d + j:
-                return False
-    return True
-
-
-def _contact_candidates(source: JetRing, target: JetRing, joint: JetRing,
-                        filt: Filtration, j: int):
-    out = []
-    nsrc = source.nx
-    m = target.nx
-    for w in joint.monomials:
-        beta = w[nsrc: nsrc + m]
-        if sum(beta) == 0:
-            continue  # must vanish on the zero section
-        if j >= 1 and not _contact_mon_ok(source, target, filt, j, w):
-            continue
-        jet = joint.jet({w: joint.domain.one})
-        for slot in range(m):
-            comps = [jet if l == slot else joint.zero for l in range(m)]
-            out.append(ContactVector(source, target, comps, joint=joint))
-    return out
-
-
-def _contact_mon_ok(source, target, filt, j, w) -> bool:
-    nsrc = source.nx
-    m = target.nx
-    e = sum(w[nsrc: nsrc + m])
-    base = tuple(w[:nsrc]) + tuple(w[nsrc + m:])  # source-part exponents
-    for d in _filter_depths(filt):
-        for nu in filt.product_set(e, d):
-            pi = _mon_add(base, nu)
-            if not source._in_range(pi):
-                continue
-            if filt.mon_order(pi) < d + j:
-                return False
-    return True
-
-
-def _solve_side_conditions(cands, condition_images, ring: JetRing):
-    """Kernel combinations of candidates under linear side conditions.
-
-    condition_images[c] is a list of dense residual vectors, one per
-    condition, for candidate c; a combination is valid when every summed
-    residual vanishes.
+    The least level is the least filtration order the candidate adds to a
+    filtration monomial fed to it, so the candidate lies in the level-j
+    subgroup's tangent exactly when it is at least j.
     """
-    if not cands:
-        return []
-    ncond = len(condition_images[0])
-    rows = []
-    for ci in range(ncond):
-        dim = len(condition_images[0][ci])
-        for p in range(dim):
-            row = [condition_images[c][ci][p] for c in range(len(cands))]
-            if any(not e.is_zero() for e in row):
-                rows.append(row)
-    if not rows:
-        return list(cands)
-    kernel = nullspace(rows, len(cands), ring.field)
+    depths = range(1, filt.vanishing_depth())
     out = []
-    for vec in kernel:
-        total = None
-        for c, cand in zip(vec, cands):
-            if c.is_zero():
-                continue
-            piece = cand.scale(c)
-            total = piece if total is None else total.add(piece)
-        if total is not None and not total.is_zero():
-            out.append(total)
-    return out
-
-
-def _right_log_images(cand: DerVector, source: JetRing):
-    images = []
-    ctx = VectorContext(source, 1)
-    for g in source.ideal_gen_jets():
-        val = source.zero
-        for name, a in zip(source.xvars, cand.comps):
-            if not a.is_zero():
-                der = _reindex(g.derivative(name), source)
-                val = val + a * der
-        images.append(ctx.to_vec(val))
-    return images
-
-
-def _left_log_images(cand: TargetDerVector, target: JetRing):
-    images = []
-    ctx = VectorContext(target, 1)
-    for g in target.ideal_gen_jets():
-        val = target.zero
-        for name, b in zip(target.xvars, cand.comps):
-            if not b.is_zero():
-                der = _reindex(g.derivative(name), target)
-                val = val + b * der
-        images.append(ctx.to_vec(val))
-    return images
-
-
-def _contact_log_images(cand: ContactVector, target: JetRing, joint: JetRing):
-    images = []
-    ctx = VectorContext(joint, 1)
-    for g in target.ideal_gen_jets():
-        val = joint.zero
-        for name, c in zip(target.xvars, cand.comps):
-            if not c.is_zero():
-                der = _reindex(g.derivative(name), joint)
-                val = val + c * der
-        images.append(ctx.to_vec(val))
-    return images
-
-
-def _kind_vectors(kind: str, source: JetRing, target: JetRing,
-                  filt: Filtration, j: int, joint: Optional[JetRing]):
     if kind == "R":
-        cands = _right_candidates(source, filt, j)
-        if source.ideal_gens:
-            images = [_right_log_images(c, source) for c in cands]
-            return _solve_side_conditions(cands, images, source)
-        return cands
-    if kind == "L":
-        cands = _left_candidates(source, target, filt, j)
-        if target.ideal_gens:
-            images = [_left_log_images(c, target) for c in cands]
-            return _solve_side_conditions(cands, images, target)
-        return cands
-    if kind == "Mat":
-        return _mat_candidates(source, target, filt, j)
-    if kind == "C":
-        cands = _contact_candidates(source, target, joint, filt, j)
-        if target.ideal_gens:
-            images = [_contact_log_images(c, target, joint) for c in cands]
-            return _solve_side_conditions(cands, images, joint)
-        return cands
-    raise TangentError(f"unknown vector kind {kind!r}")
+        for nu in source.monomials:
+            if sum(nu) == 0:
+                continue
+            jet = source.jet({nu: source.domain.one})
+            for i, vec in enumerate(_slots(kind, jet, source.nx, source, target, joint)):
+                unit = tuple(1 if l == i else 0 for l in range(len(nu)))
+                level = _least_gain(source, filt, (
+                    (tuple(a + b - c for a, b, c in zip(nu, mu, unit)), filt.mon_order(mu))
+                    for mu in source.monomials if mu[i]))
+                out.append((level, vec))
+    elif kind == "Mat":
+        m = target.nx
+        for alpha in source.monomials:
+            level = _least_gain(source, filt, ((_mon_add(alpha, nu), d) for d in depths
+                                               for nu in filt.level_set(d)))
+            entry = source.jet({alpha: source.domain.one})
+            for i in range(m):
+                for l in range(m):
+                    rows = [[entry if (r, c) == (i, l) else source.zero
+                             for c in range(m)] for r in range(m)]
+                    out.append((level, MatVector(source, target, rows)))
+    else:
+        # a target-side monomial w = x^a t^c y^beta, fed e filtration
+        # monomials of level d (e = |beta|), lands on x^a t^c times their product
+        ring = target if kind == "L" else joint
+        nsrc = 0 if kind == "L" else source.nx
+        m = target.nx
+        for w in ring.monomials:
+            beta = w[nsrc: nsrc + m]
+            e = sum(beta)
+            if sum(w) == 0 or (kind == "C" and e == 0):
+                continue  # a contact part must vanish on the zero section
+            base = tuple(w[:nsrc]) + (0,) * (source.nx - nsrc) + tuple(w[nsrc + m:])
+            level = _least_gain(source, filt, (
+                (_mon_add(base, nu), d) for d in depths
+                for nu in (filt.product_set(e, d) if e >= 1 else (source.unit_mon,))))
+            jet = ring.jet({w: ring.domain.one})
+            out.extend((level, vec) for vec in _slots(kind, jet, m, source, target, joint))
+    return out
 
 
 _TAG_KINDS = {
@@ -759,79 +579,97 @@ class TangentFrame:
         return f"<tangent frame {self.tag} level {self.level} rank {self.rank}>"
 
 
-def tangent_space(tag: str, f: MapGerm, j: int, filt: Filtration) -> TangentFrame:
-    """The tangent frame of the level-j subgroup at f (j = 0: the full group)."""
+def _frames(tag: str, f: MapGerm, filt: Filtration, levels) -> list:
+    """The tangent frames of the level-j subgroups at f, one per j in ``levels``.
+
+    The candidates are generated and applied to f once.  The level-j frame
+    takes those of least level >= j (all of them for j = 0); on an
+    ideal-carrying ring its vectors are the kernel combinations of those
+    candidates under the linear side conditions, solved per frame, and
+    their images the same combinations of the candidate images.
+    """
     if tag not in _TAG_KINDS:
         raise TangentError(f"unknown group {tag!r}")
-    if j < 0:
+    least = min(levels)
+    if least < 0:
         raise TangentError("level must be non-negative")
     source, target = f.source, f.target
     if tag == "Klin" and target.ideal_gens:
         raise TangentError("matrix contact equivalence needs a smooth target")
-    joint = None
-    if "C" in _TAG_KINDS[tag]:
-        joint = product_ring(source, target)
-    entries = []
-    for kind in _TAG_KINDS[tag]:
-        entries.extend(_kind_vectors(kind, source, target, filt, j, joint))
+    joint = product_ring(source, target) if "C" in _TAG_KINDS[tag] else None
     ctx = f.context()
-    images = [ctx.to_vec(tuple(e.apply(f))) for e in entries]
-    basis = SubspaceBasis.span(ctx, images) if images else SubspaceBasis(ctx, [], [])
-    return TangentFrame(tag, f, j, filt, entries, images, basis)
+    field = source.field
+
+    def keep(level, j):
+        return j == 0 or level >= j
+
+    pool = {}  # kind -> [(level, vector, image, side-condition column)]
+    for kind in _TAG_KINDS[tag]:
+        gens = () if kind == "Mat" else (source if kind == "R" else target).ideal_gen_jets()
+        pool[kind] = [(level, vec, ctx.to_vec(tuple(vec.apply(f))),
+                       _log_images(vec, gens) if gens else None)
+                      for level, vec in _candidates(kind, source, target, joint, filt)
+                      if keep(level, least)]
+    frames = []
+    for j in levels:
+        entries, images = [], []
+        for kind, cands in pool.items():
+            cands = [c for c in cands if keep(c[0], j)]
+            cols = [c[3] for c in cands]
+            if not cands or cols[0] is None or all(e.is_zero() for col in cols for e in col):
+                entries.extend(c[1] for c in cands)
+                images.extend(c[2] for c in cands)
+                continue
+            for coeffs in nullspace(zip(*cols), len(cands), field):
+                total, image = None, [field.zero] * ctx.dim
+                for a, (_, vec, img, _) in zip(coeffs, cands):
+                    if not a.is_zero():
+                        piece = vec.scale(a)
+                        total = piece if total is None else total.add(piece)
+                        image = [x + a * y for x, y in zip(image, img)]
+                if total is not None and not total.is_zero():
+                    entries.append(total)
+                    images.append(tuple(image))
+        basis = SubspaceBasis.span(ctx, images) if images else SubspaceBasis(ctx, [], [])
+        frames.append(TangentFrame(tag, f, j, filt, entries, images, basis))
+    return frames
+
+
+def tangent_space(tag: str, f: MapGerm, j: int, filt: Filtration) -> TangentFrame:
+    """The tangent frame of the level-j subgroup at f (j = 0: the full group)."""
+    return _frames(tag, f, filt, (j,))[0]
 
 
 def vector_level(vec: TangentVector, source: JetRing, target: JetRing,
                  filt: Filtration) -> float:
     """Largest j with ord(vec . v) >= ord(v) + j over test maps; -1 if below 0.
 
-    The test maps are those of ``group_level``: single monomials for R and
-    Mat vectors, otherwise monomial tuples that respect the target ideal.
+    The test maps are those of ``group_level``, from ``level_probes``.
     """
-    cap = source.order + (source.torder or 0)
-    level = cap
-    if vec.kind in ("R", "Mat"):
-        vectors = _single_monomial_vectors(source, target)
-    else:
-        vectors = _tuple_vectors(source, target)
-    for comps in vectors:
-        image = vec.apply_comps(list(comps), source)
-        if all(i.is_zero() for i in image):
-            continue
-        jv = filt.order_of(tuple(image)) - filt.order_of(tuple(comps))
-        if jv < level:
-            level = jv
-        if level < 0:
-            return -1
-    return level
+    return probe_level(lambda comps: vec.apply_comps(list(comps), source),
+                       level_probes(source, target, vec.kind in ("R", "Mat")),
+                       source, filt)
 
 
 # -- uniform comparison bounds ----------------------------------------------
 
 class ComparisonBound:
-    """Outcome of searching for d with (full tangent) cap (order >= d) inside
-    the level-j tangent, together with membership certificates."""
+    """The least d with (full tangent) cap (order >= d) inside the level-j
+    tangent, together with membership certificates."""
 
-    def __init__(self, tag: str, level: int, bound: Optional[int],
-                 certificates, witness=None):
+    def __init__(self, tag: str, level: int, bound: int, certificates):
         self.tag = tag
         self.level = level
         self.bound = bound
         self.certificates = certificates
-        self.witness = witness
 
     @property
     def found(self) -> bool:
         return self.bound is not None
 
     def describe(self):
-        out = {"group": self.tag, "level": self.level}
-        if self.found:
-            out["bound"] = self.bound
-            out["certificates"] = self.certificates
-        else:
-            out["bound"] = None
-            out["witness"] = self.witness
-        return out
+        return {"group": self.tag, "level": self.level, "bound": self.bound,
+                "certificates": self.certificates}
 
 
 def comparison_bound(tag: str, f: MapGerm, j: int, filt: Filtration) -> ComparisonBound:
@@ -842,35 +680,34 @@ def comparison_bound(tag: str, f: MapGerm, j: int, filt: Filtration) -> Comparis
     intersection.  For the paired left-right group the map must have
     positive filtration order, otherwise target-side orders degenerate.
 
-    The search runs up to ``filt.vanishing_depth()`` inclusive.  At that
-    depth no full-tangent image of order >= d survives the truncation, so
-    the inclusion holds with zero certificates: the search always succeeds,
-    and a bound equal to the vanishing depth is least only vacuously,
-    saying nothing inside the jet window.  The ``bound=None`` outcome with
-    a witness cannot occur.
+    The search runs up to ``filt.vanishing_depth()``.  At that depth no
+    full-tangent image of order >= d survives the truncation, so the
+    inclusion holds with zero certificates: a bound is always found, and a
+    bound equal to the vanishing depth is least only vacuously, saying
+    nothing inside the jet window.
     """
     if tag == "LR" and filt.order_of(f.components) < 1:
         raise TangentError("the map must have positive filtration order")
-    frame0 = tangent_space(tag, f, 0, filt)
-    framej = tangent_space(tag, f, j, filt)
+    frame0, framej = _frames(tag, f, filt, (0, j))
     ctx = frame0.context
     grades = [filt.mon_order(mon) for _ in range(ctx.ncomp) for mon in ctx.ring.monomials]
     order_at_least = frame0.basis.graded_intersections(grades)
-    witness = None
-    for d in range(1, filt.vanishing_depth() + 1):
-        inter = order_at_least(d)
+
+    def certificates(d):
         certs = []
-        good = True
-        for row in inter.rows:
+        for row in order_at_least(d).rows:
             coords = framej.basis.membership(row)
             if coords is None:
-                good = False
-                witness = [str(c) for c in ctx.to_jets(row)]
-                break
+                return None
             certs.append({
                 "vector": [str(c) for c in ctx.to_jets(row)],
                 "coordinates": [str(c) for c in coords],
             })
-        if good:
+        return certs
+
+    top = filt.vanishing_depth()
+    for d in range(1, top):
+        certs = certificates(d)
+        if certs is not None:
             return ComparisonBound(tag, j, d, certs)
-    return ComparisonBound(tag, j, None, [], witness=witness)
+    return ComparisonBound(tag, j, top, [])

@@ -63,6 +63,26 @@ ROOTS_F3 = ('{"unknowns": ["r", "w"], '
 QUAD_F3 = '{"unknowns": ["r"], "equations": ["r^2+2*r+2"]}'
 CUBIC_F3 = '{"unknowns": ["w"], "equations": ["w^3+2*w+2"]}'
 
+# two variables over Q at jet 3: a singular target (the axes uv = 0) and a
+# smooth one
+SING = (
+    "field Q\n"
+    "jet 3\n"
+    "source vars: x y ideal: ()\n"
+    "target vars: u v ideal: (u*v)\n"
+    "map f = (x^2, 0)\n"
+    "map g = (x^2+x^3, 0)\n"
+)
+
+SMOOTH2 = (
+    "field Q\n"
+    "jet 3\n"
+    "source vars: x y ideal: ()\n"
+    "target vars: u v ideal: ()\n"
+    "map f = (x^2, y^2)\n"
+    "map g = (x^2+x*y^2, y^2+x^3)\n"
+)
+
 
 @pytest.fixture(scope="module")
 def sessions(tmp_path_factory):
@@ -209,6 +229,14 @@ def test_solve_over_the_extension_succeeds(compiled_system):
     assert rep["result"]["count"] >= 1
 
 
+def test_solve_cap_bounds_the_search(compiled_system):
+    # the F9 search space has 9^2 = 81 points
+    rep, code = execute(["solve", compiled_system, "--field", "F3",
+                         "--ext", "b^2+1", "--cap", "1"])
+    assert code == 1
+    assert rep["error"] == "search space of size 81 exceeds the cap 1"
+
+
 def test_groebner_reports_consistency(compiled_system):
     rep, code = execute(["solve", compiled_system, "--field", "F3",
                          "--method", "groebner"])
@@ -349,6 +377,42 @@ GOLDEN = [
     (F5S, 0,
      "f5011cd5e845ac1ed965138f90868801e51bac0fe008d2ec17261722d4921410",
      "orbits --group L --map g --ext b^2+2"),
+    # systems and comparison bounds for every group on two-variable
+    # sessions, recorded before compile_system built its unknown group data
+    # as group elements and called their action
+    (SING, 0,
+     "45ba873eb6e8123b73c349016ed87b859576409e3694854b8e906856d2f57a78",
+     "system --group L --map f --map2 g --level 1"),
+    (SING, 0,
+     "e96a273e4792de23f9f9a044d9355f15cc6168411750369564ad9fcdc53b5fe0",
+     "system --group C --map f --map2 g --level 1"),
+    (SING, 0,
+     "87632322195c72a687a75e7a52f61ff494cd9961aa50a0be8f97476b3a0737c0",
+     "system --group K --map f --map2 g --level 1"),
+    (SMOOTH2, 0,
+     "74e1dfa6ffdfebe763953873905213e1dc629261c5665c95676619ed4060be09",
+     "system --group Klin --map f --map2 g --level 1"),
+    (SMOOTH2, 0,
+     "68864c607ad0edafba2f423abc3c540b42fc017288fd70253344da16bc0bc496",
+     "system --group K --map f --map2 g --level 1"),
+    (SMOOTH2, 0,
+     "f419e626a78e8510279ae768583f8c9df5df156f51b7d6addbe739479d0928c6",
+     "artin-rees --group R --map f --level 1"),
+    (SMOOTH2, 0,
+     "9350c84735e0f30bbd5372644c3e5c67685942807a50acb334444d56770c1b70",
+     "artin-rees --group Klin --map f --level 1"),
+    (SMOOTH2, 0,
+     "e940b6253af0c51f01c8e7d6493580d6ccc0f74046b22b50217f75f21a4ac940",
+     "artin-rees --group LR --map f --level 1"),
+    (SING, 0,
+     "809d440f9c0a0b93b2d40265ee824dd1ce7e340e9b3f33bfc4427fdbcd1f6222",
+     "artin-rees --group K --map f --level 1"),
+    (SING, 0,
+     "9475ec95978d8a19c430dd0827b541c51a8b3b1a2b949943fec52587160d9eb2",
+     "artin-rees --group L --map f --level 1"),
+    (SING, 0,
+     "a5cfd0324e967a542773deb6e86d8547fc938f0f1eefda010b4eec78331e712e",
+     "artin-rees --group C --map f --level 1"),
 ]
 
 

@@ -4,8 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from germ.descent import central_fiber, element_t_slice
 from germ.exactfield import make_extension, make_field
 from germ.germs import (
+    GROUP_TAGS,
     Contact,
     ContactLinPair,
     ContactPair,
@@ -415,6 +417,40 @@ def test_group_level_matches_the_exhaustive_action(shape, tag, F, rng, which):
     filt = filts[which % len(filts)]
     g = _random_element(rng, tag, X, Y)
     assert group_level(g, X, Y, filt) == _oracle_level(g, X, Y, filt)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("tag", GROUP_TAGS)
+def test_extension_and_slicing_reach_every_stored_jet(tag, seed):
+    rng = random.Random(seed)
+    # extending the coefficients commutes with the action
+    X, Y, _ = _shape("plane", Q)
+    f = MapGerm(X, Y, [X.from_expr("x^2"), X.from_expr("y^2 + x*y")])
+    g = _random_element(rng, tag, X, Y)
+    K = make_extension(Q, "a^2 - 2")
+    XK, YK = extend_ring(X, K), extend_ring(Y, K)
+    gK = extend_element(g, K, XK, YK)
+    assert type(gK) is type(g)
+    assert gK.act(extend_map(f, K, XK, YK)) == extend_map(g.act(f), K, XK, YK)
+    # the parameter-zero slice sets t = 0 in every stored jet, and setting
+    # t = 0 commutes with acting on a map free of t
+    XF, YF, _ = _shape("family", Q)
+    h = _random_element(rng, tag, XF, YF)
+    sliced = element_t_slice(h)
+    assert type(sliced) is type(h)
+
+    def drop_t(data):
+        # jets describe as {monomial: coefficient}; drop the monomials with t
+        if isinstance(data, dict):
+            return {k: drop_t(v) for k, v in data.items()
+                    if not (isinstance(v, str) and "t" in k.replace("^", "*").split("*"))}
+        if isinstance(data, list):
+            return [drop_t(v) for v in data]
+        return data
+
+    assert sliced.describe() == drop_t(h.describe())
+    f0 = MapGerm(XF, YF, [XF.from_expr("x^2 + x^3")])
+    assert sliced.act(f0) == central_fiber(h.act(f0))
 
 
 def test_singular_linear_parts_are_rejected():
