@@ -908,7 +908,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ext", help="extension minimal polynomial, e.g. 'b^2+1'")
     sp.add_argument("--jet", type=int, default=None,
                     help="re-truncate the session to this jet order")
-    sp.add_argument("--cap", type=int, default=10 ** 7)
+    sp.add_argument("--cap", type=int, default=10 ** 7,
+                    help="most group actions the census may apply while it "
+                         "closes the orbits (default 10^7)")
     sp.set_defaults(func=cmd_orbits)
 
     return p

@@ -46,15 +46,23 @@ class FieldError(ValueError):
     pass
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
+def _prime_factors(n: int) -> list:
+    """The distinct prime factors of n >= 1 in increasing order, by trial
+    division."""
+    out, d = [], 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 1
-    return True
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
 
 
 class FieldElem:
@@ -200,6 +208,22 @@ class Field:
     def generator_env(self) -> dict:
         """Named scalars (extension generators etc.) usable in expressions."""
         return {}
+
+    def primitive_element(self) -> FieldElem:
+        """The first element in ``elements()`` order that generates the
+        multiplicative group of this finite field, cached on the field.
+
+        z generates exactly when z^((q-1)/r) != 1 for every prime r dividing
+        q-1, so each candidate costs one power per such r, not an order search.
+        """
+        if "_primitive" not in self.__dict__:
+            if not self.is_finite():
+                raise FieldError(f"{self} is not finite; no primitive element")
+            q = self.size()
+            exps = [(q - 1) // r for r in _prime_factors(q - 1)]
+            self._primitive = next(z for z in self.elements() if not z.is_zero()
+                                   and all(z ** e != self.one for e in exps))
+        return self._primitive
 
     def embed_base(self, c: FieldElem) -> FieldElem:
         # coefficient-domain protocol shared with polynomial domains

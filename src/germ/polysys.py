@@ -6,11 +6,12 @@ polynomial system over the coefficient field: matching equations from the
 group relation, preservation equations for the ideals involved, and a
 product trick for the needed invertibilities.  Inconsistency of the
 system over the algebraic closure is decided by a basic Groebner run;
-solvability over a finite field by exhaustive search.  Solutions
-assemble back into verified group elements.
+solvability over a finite field by a depth-first exhaustive search.
+Solutions assemble back into verified group elements.
 
-The same enumeration machinery splits the extension-field orbit of a jet
-into its finitely many base-field orbits.
+Over finite fields the extension-field orbit of a jet splits into
+finitely many base-field orbits; each is found as the closure of one
+member under a generating set of the jet group.
 """
 
 from __future__ import annotations
@@ -641,12 +642,17 @@ def assemble_witness(system: PolySystem, solution: dict):
 def brute_solve(system: PolySystem, field: Optional[Field] = None,
                 domain: Optional[Sequence[FieldElem]] = None,
                 cap: int = 10 ** 8, limit: Optional[int] = None):
-    """All solutions over a finite field by exhaustive enumeration.
+    """All solutions over a finite field by exhaustive depth-first search.
 
-    Only unknowns that occur in some equation are searched; the rest are
-    reported as zero.  ``field`` may be a finite extension of the
-    system's field (coefficients are embedded); ``domain`` restricts the
-    searched values to a subset of the field, e.g. a subfield's image.
+    Only unknowns that occur in some equation are searched, in
+    ``occurring()`` order, and each equation is tested as soon as the last
+    of its unknowns is set, so a branch that violates one is cut there; the
+    solutions come out in the lexicographic order of the full product
+    search.  The rest of the unknowns are reported as zero.  ``cap`` bounds
+    the size of the full search box, checked before the search starts.
+    ``field`` may be a finite extension of the system's field (coefficients
+    are embedded); ``domain`` restricts the searched values to a subset of
+    the field, e.g. a subfield's image.
     """
     sys_here = system
     if field is not None and field != system.field:
@@ -665,17 +671,37 @@ def brute_solve(system: PolySystem, field: Optional[Field] = None,
     total = len(values) ** len(active)
     if total > cap:
         raise PolyError(f"search space of size {total} exceeds the cap {cap}")
-    free = [n for n in sys_here.ring.names if n not in active]
+    # due[d]: the equations whose last unknown is active[d]
+    position = {n: d for d, n in enumerate(active)}
+    due = [[] for _ in active]
+    for eq in sys_here.equations:
+        used = eq.names_used()
+        if used:
+            due[max(position[n] for n in used)].append(eq)
+        elif not eq.is_zero():
+            return []   # a nonzero constant equation
+    zeros = {n: field.zero for n in sys_here.ring.names if n not in position}
     solutions = []
-    for point in itertools.product(values, repeat=len(active)):
-        env = dict(zip(active, point))
-        if all(eq.evaluate(env).is_zero() for eq in sys_here.equations):
-            full = dict(env)
-            for n in free:
-                full[n] = field.zero
-            solutions.append(full)
+    env = {}
+    choice = [-1] * len(active)
+    depth = 0
+    while depth >= 0:
+        if depth == len(active):
+            solutions.append({**env, **zeros})
             if limit is not None and len(solutions) >= limit:
                 break
+            depth -= 1
+            continue
+        choice[depth] += 1
+        name = active[depth]
+        if choice[depth] == len(values):
+            choice[depth] = -1
+            env.pop(name, None)
+            depth -= 1
+            continue
+        env[name] = values[choice[depth]]
+        if all(eq.evaluate(env).is_zero() for eq in due[depth]):
+            depth += 1
     return solutions
 
 
@@ -851,104 +877,139 @@ def groebner_inconsistent(system, cap: int = 20000) -> GroebnerReport:
 
 # -- orbit splitting under a finite extension --------------------------------
 
-def _enumerate_substitutions(ring: JetRing, cap: int, build):
-    mons = [m for m in ring.monomials if sum(m) >= 1]
-    total = ring.field.size() ** (ring.nx * len(mons))
+def _factor(part: str, source: JetRing, target: JetRing):
+    """One group factor as ``(ring, identity, mons, build)``: its elements
+    are ``build(jets, validate)`` for the tuples of jets of ``ring``
+    supported on ``mons``, one per entry of the ``identity`` tuple.  The
+    parts are ``right``, ``left``, ``mat`` (Klin matrices, flattened row by
+    row, with identity source change) and ``contact``."""
+    if part in ("right", "left"):
+        ring = source if part == "right" else target
+        cls = RightAut if part == "right" else LeftAut
+        return (ring, [ring.var(n) for n in ring.xvars],
+                [m for m in ring.monomials if sum(m) >= 1],
+                lambda jets, validate: cls(ring, jets, validate=validate))
+    m = target.nx
+    if part == "mat":
+        return (source, [source.one if i == j else source.zero
+                         for i in range(m) for j in range(m)],
+                list(source.monomials),
+                lambda jets, validate: ContactLinPair(
+                    source, target, [jets[i * m: (i + 1) * m] for i in range(m)],
+                    validate=validate))
+    joint = product_ring(source, target)
+    return (joint, [joint.var(n) for n in target.xvars],
+            [mn for mn in joint.monomials if sum(mn[source.nx: source.nx + m]) >= 1],
+            lambda jets, validate: Contact(source, target, jets, joint=joint,
+                                           validate=validate))
+
+
+def _enumerate_factor(part: str, source: JetRing, target: JetRing, cap: int):
+    """Every element of one group factor, in the lexicographic order of its
+    coefficient tuples over sorted field values, the first entry's
+    coefficients most significant; tuples that fail validation are skipped."""
+    ring, identity, mons, build = _factor(part, source, target)
+    width, slots = len(mons), len(identity)
+    total = ring.field.size() ** (slots * width)
     if total > cap:
         raise PolyError(f"group enumeration of size {total} exceeds the cap {cap}")
     values = sorted(ring.field.elements(), key=lambda e: e.key())
     out = []
-    for flat in itertools.product(values, repeat=ring.nx * len(mons)):
-        comps = []
-        for i in range(ring.nx):
-            chunk = flat[i * len(mons): (i + 1) * len(mons)]
-            comps.append(ring.jet({m: c for m, c in zip(mons, chunk) if not c.is_zero()}))
+    for flat in itertools.product(values, repeat=slots * width):
+        jets = [ring.jet({m: c for m, c in zip(mons, flat[k * width: (k + 1) * width])
+                          if not c.is_zero()})
+                for k in range(slots)]
         try:
-            out.append(build(ring, comps))
+            out.append(build(jets, True))
         except GermError:
             continue
     return out
 
 
-def _enumerate_matrices(source: JetRing, target: JetRing, cap: int):
-    m = target.nx
-    mons = list(source.monomials)
-    total = source.field.size() ** (m * m * len(mons))
-    if total > cap:
-        raise PolyError(f"matrix enumeration of size {total} exceeds the cap {cap}")
-    values = sorted(source.field.elements(), key=lambda e: e.key())
-    out = []
-    for flat in itertools.product(values, repeat=m * m * len(mons)):
-        rows = []
-        k = 0
-        for _ in range(m):
-            row = []
-            for _ in range(m):
-                chunk = flat[k * len(mons): (k + 1) * len(mons)]
-                row.append(source.jet({mn: c for mn, c in zip(mons, chunk)
-                                       if not c.is_zero()}))
-                k += 1
-            rows.append(row)
-        try:
-            out.append(ContactLinPair(source, target, rows))
-        except GermError:
-            continue
-    return out
-
-
-def _enumerate_contacts(source: JetRing, target: JetRing, cap: int):
-    joint = product_ring(source, target)
-    nsrc = source.nx
-    m = target.nx
-    mons = [mn for mn in joint.monomials if sum(mn[nsrc: nsrc + m]) >= 1]
-    total = source.field.size() ** (m * len(mons))
-    if total > cap:
-        raise PolyError(f"contact enumeration of size {total} exceeds the cap {cap}")
-    values = sorted(source.field.elements(), key=lambda e: e.key())
-    out = []
-    for flat in itertools.product(values, repeat=m * len(mons)):
-        comps = []
-        for slot in range(m):
-            chunk = flat[slot * len(mons): (slot + 1) * len(mons)]
-            comps.append(joint.jet({mn: c for mn, c in zip(mons, chunk)
-                                    if not c.is_zero()}))
-        try:
-            out.append(Contact(source, target, comps, joint=joint))
-        except GermError:
-            continue
-    return out
+def _pair(tag: str, outer, right: RightAut):
+    if tag == "LR":
+        return LRPair(outer, right)
+    if tag == "K":
+        return ContactPair(outer, right)
+    return ContactLinPair(outer.source, outer.target, outer.matrix, right, validate=False)
 
 
 def enumerate_group(tag: str, source: JetRing, target: JetRing, cap: int = 10 ** 7):
     """Every element of the jet group over a finite field, within the cap."""
     if not source.field.is_finite():
         raise PolyError("group enumeration needs a finite field")
-    if tag == "R":
-        return _enumerate_substitutions(source, cap, RightAut)
-    if tag == "L":
-        return _enumerate_substitutions(target, cap, LeftAut)
-    if tag == "LR":
-        lefts = _enumerate_substitutions(target, cap, LeftAut)
-        rights = _enumerate_substitutions(source, cap, RightAut)
-        if len(lefts) * len(rights) > cap:
-            raise PolyError("group enumeration exceeds the cap")
-        return [LRPair(a, b) for a in lefts for b in rights]
-    if tag == "Klin":
-        mats = _enumerate_matrices(source, target, cap)
-        rights = _enumerate_substitutions(source, cap, RightAut)
-        if len(mats) * len(rights) > cap:
-            raise PolyError("group enumeration exceeds the cap")
-        return [ContactLinPair(source, target, m.matrix, r, validate=False)
-                for m in mats for r in rights]
-    if tag == "C":
-        return _enumerate_contacts(source, target, cap)
-    if tag == "K":
-        contacts = _enumerate_contacts(source, target, cap)
-        rights = _enumerate_substitutions(source, cap, RightAut)
-        if len(contacts) * len(rights) > cap:
-            raise PolyError("group enumeration exceeds the cap")
-        return [ContactPair(c, r) for c in contacts for r in rights]
-    raise PolyError(f"unknown group {tag!r}")
+    if tag not in _FACTORS:
+        raise PolyError(f"unknown group {tag!r}")
+    parts = [_enumerate_factor(part, source, target, cap) for part in _FACTORS[tag]]
+    if len(parts) == 1:
+        return parts[0]
+    outers, rights = parts
+    if len(outers) * len(rights) > cap:
+        raise PolyError("group enumeration exceeds the cap")
+    return [_pair(tag, a, b) for a in outers for b in rights]
+
+
+def _factor_generators(part: str, source: JetRing, target: JetRing):
+    """The identity of one group factor with its first entry times zeta, a
+    primitive element, and with c*m added to one entry, m one of the
+    factor's monomials other than the entry's own term and c over the
+    F_p-basis 1, zeta, ..., zeta^(d-1) of F_(p^d).  Klin matrices get the
+    c*x^alpha on the diagonal at the first entry only."""
+    ring, identity, mons, build = _factor(part, source, target)
+    field = ring.field
+    zeta = field.primitive_element()
+    basis, span = [field.one], field.char
+    while span < field.size():
+        basis.append(basis[-1] * zeta)
+        span *= field.char
+    out = [build([identity[0].scale(zeta)] + identity[1:], False)]
+    for k, entry in enumerate(identity):
+        if part == "mat" and k and not entry.is_zero():
+            continue
+        for mon in mons:
+            if mon in entry.coeffs:
+                continue
+            for c in basis:
+                jets = list(identity)
+                jets[k] = entry + ring.monomial(mon, c)
+                out.append(build(jets, False))
+    return out
+
+
+def _census_generators(tag: str, source: JetRing, target: JetRing, cap: int):
+    """The group elements an orbit census applies, and whether they generate
+    the group (else they are the whole group, and sweeping f once suffices).
+
+    On smooth, parameter-free source and target, a generating set S of the
+    jet group (``_factor_generators`` of each factor), so that an orbit is
+    the closure of one member under S; in a finite group the monoid S
+    generates is the group, so no inverses are needed.  Each factor has a
+    filtration by the order of agreement with the identity whose graded
+    pieces are additive groups, spanned by the elements with c over an
+    F_p-basis, and a linear quotient:
+
+    * R, L: the quotient is GL_n(F_q), generated by the transvections
+      x_i -> x_i + c*x_k and diag(zeta, 1, ...); the shears x_i -> x_i + c*m
+      of degree >= 2 give the graded pieces;
+    * C: likewise in the target variables over the joint ring, the shears
+      y_i -> y_i + c*x^alpha*y^beta with |beta| >= 1 giving the graded pieces;
+    * Klin: GL_m(F_q) by the constant transvections and diag(zeta, 1, ...);
+      the graded pieces by the entries c*x^alpha off the diagonal and
+      diag(1 + c*x^alpha, 1, ...), whose conjugates by permutation matrices
+      give the other diagonal entries; the R generators give the source
+      change;
+    * LR, K (and the source change of Klin): the generators of each factor.
+      Paired with the identity of the other factor such a generator acts
+      as the bare factor, which is what the census applies.
+
+    A ring with an ideal or parameters gets ``enumerate_group`` itself:
+    elementary maps do not generate there (u <-> v preserves u*v = 0 and
+    no elementary map does).
+    """
+    if source.ideal_gens or target.ideal_gens or source.tvars or target.tvars:
+        return enumerate_group(tag, source, target, cap), False
+    return [g for part in _FACTORS[tag]
+            for g in _factor_generators(part, source, target)], True
 
 
 def _map_key(f: MapGerm):
@@ -986,9 +1047,14 @@ class OrbitCensus:
 def orbit_split(tag: str, f: MapGerm, ext: Extension, cap: int = 10 ** 7) -> OrbitCensus:
     """Split the extension orbit of f into base-field orbits.
 
-    Enumerates the whole jet group over the extension, collects the
-    orbit, keeps the members with base-field coefficients, and partitions
-    those by enumerating the base-field group.
+    The orbit of f over the extension is the closure of f under the
+    elements of ``_census_generators`` over the extension; its members with
+    base-field coefficients are partitioned into closures under the
+    base-field elements.  Every image of a rational member must be
+    rational.  ``cap`` bounds the group actions of the whole census,
+    checked as it goes (a closure costs |orbit| * |elements| actions).
+    Orbits are listed by their least member in ``str`` order, each with
+    that member as representative.
     """
     source, target = f.source, f.target
     field = source.field
@@ -996,34 +1062,51 @@ def orbit_split(tag: str, f: MapGerm, ext: Extension, cap: int = 10 ** 7) -> Orb
         raise PolyError("orbit splitting needs finite fields on both levels")
     if ext.base != field:
         raise PolyError("extension must start at the map's field")
+    if tag not in _FACTORS:
+        raise PolyError(f"unknown group {tag!r}")
+    actions = 0
+
+    def closure(start: MapGerm, elements, generating: bool) -> dict:
+        # the orbit keyed by MapGerm.key(): the closure of start under
+        # generators, or the images of start under the whole group
+        nonlocal actions
+        orbit = {start.key(): start}
+        frontier = [start]
+        while frontier:
+            fresh = []
+            for member in frontier:
+                actions += len(elements)
+                if actions > cap:
+                    raise PolyError(f"orbit census exceeds the cap of {cap} group actions")
+                for g in elements:
+                    moved = g.act(member)
+                    key = moved.key()
+                    if key not in orbit:
+                        orbit[key] = moved
+                        fresh.append(moved)
+            frontier = fresh if generating else []
+        return orbit
+
     source_K = extend_ring(source, ext)
     target_K = extend_ring(target, ext)
-    fK = extend_map(f, ext, source_K, target_K)
-
-    big_orbit = {}
-    for g in enumerate_group(tag, source_K, target_K, cap):
-        moved = g.act(fK)
-        big_orbit.setdefault(_map_key(moved), moved)
+    big_orbit = closure(extend_map(f, ext, source_K, target_K),
+                        *_census_generators(tag, source_K, target_K, cap))
     rational = {}
     for moved in big_orbit.values():
         down = restrict_map(moved, ext, source, target)
         if down is not None:
-            rational[_map_key(down)] = down
+            rational[down.key()] = down
 
-    group_base = enumerate_group(tag, source, target, cap)
-    remaining = dict(sorted(rational.items()))
+    elements, generating = _census_generators(tag, source, target, cap)
+    remaining = set(rational)
     orbits = []
-    representatives = []
     while remaining:
-        key = next(iter(remaining))
-        rep = remaining.pop(key)
-        orbit_keys = {key}
-        for g in group_base:
-            moved_key = _map_key(g.act(rep))
-            if moved_key not in rational:
-                raise PolyError("base-field action left the rational locus")
-            remaining.pop(moved_key, None)
-            orbit_keys.add(moved_key)
-        representatives.append(rep)
-        orbits.append(sorted(orbit_keys))
-    return OrbitCensus(tag, representatives, orbits, len(big_orbit))
+        orbit = closure(rational[remaining.pop()], elements, generating)
+        if any(key not in rational for key in orbit):
+            raise PolyError("base-field action left the rational locus")
+        remaining -= set(orbit)
+        orbits.append(sorted(orbit.values(), key=_map_key))
+    orbits.sort(key=lambda members: _map_key(members[0]))
+    return OrbitCensus(tag, [members[0] for members in orbits],
+                       [[_map_key(m) for m in members] for members in orbits],
+                       len(big_orbit))

@@ -255,6 +255,18 @@ def test_orbits_with_jet_override(sessions):
     assert all(len(o) == 1 for o in census["orbits"])
 
 
+def test_orbits_cap_counts_group_actions(sessions):
+    # the census of x^2 applies 3 generators over F9 to each of 4 members
+    rep, code = execute(["orbits", "--session", sessions["f3"], "--group", "R",
+                         "--ext", "b^2+1", "--map", "f", "--cap", "5"])
+    assert code == 1
+    assert rep["error"] == "orbit census exceeds the cap of 5 group actions"
+    rep, code = execute(["orbits", "--session", sessions["f3"], "--group", "R",
+                         "--ext", "b^2+1", "--map", "f", "--cap", "16"])
+    assert code == 0
+    assert rep["result"]["orbits"]["extension_orbit_size"] == 4
+
+
 def test_entry_point_exit_code_and_byte_identical_output(compiled_system):
     cmd = [sys.executable, "-m", "germ.cli", "solve", compiled_system,
            "--field", "F3"]

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -346,3 +347,54 @@ def test_element_strings_keys_and_coordinates_are_pinned(name):
         assert all(c.field == F3 for c in coords)
         assert tuple(c.key() for c in coords) == key
         assert [str(c) for c in coords] == [str(k) for k in key]
+
+
+# -- primitive elements ------------------------------------------------------
+
+def _multiplicative_order(z):
+    k, power = 1, z
+    while power != z.field.one:
+        power, k = power * z, k + 1
+    return k
+
+
+PRIMITIVE_FIELDS = {
+    "F2": F2,
+    "F4": make_extension(F2, "b^2+b+1").top,
+    "F9": FINITE_EXT["F9"].top,
+    "F16": F16,
+    "F25": FINITE_EXT["F25"].top,
+    "F27": FINITE_EXT["F27"].top,
+    "F101": make_field("F101"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRIMITIVE_FIELDS))
+def test_primitive_element_has_full_multiplicative_order(name):
+    field = PRIMITIVE_FIELDS[name]
+    z = field.primitive_element()
+    assert z.field is field
+    assert _multiplicative_order(z) == field.size() - 1
+    # the first generator in elements() order, found once per field
+    first = next(e for e in field.elements()
+                 if not e.is_zero() and _multiplicative_order(e) == field.size() - 1)
+    assert z == first
+    assert field.primitive_element() is z
+
+
+def test_primitive_element_of_a_degree_six_field_over_f101_is_immediate():
+    field = make_extension(make_field("F101"), "b^6+b+3").top
+    start = time.perf_counter()
+    z = field.primitive_element()
+    assert time.perf_counter() - start < 1.0
+    q = field.size()
+    # q - 1 = 2^3 * 3^2 * 5^2 * 7 * 13 * 17 * 37 * 10303
+    assert q - 1 == 2 ** 3 * 3 ** 2 * 5 ** 2 * 7 * 13 * 17 * 37 * 10303
+    assert z ** (q - 1) == field.one
+    for r in (2, 3, 5, 7, 13, 17, 37, 10303):
+        assert z ** ((q - 1) // r) != field.one
+
+
+def test_infinite_fields_have_no_primitive_element():
+    with pytest.raises(FieldError, match="not finite"):
+        Q.primitive_element()

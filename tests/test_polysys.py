@@ -1,17 +1,32 @@
+import hashlib
+import itertools
 import json
+import random
+import time
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from germ.exactfield import is_pth_power, make_extension, make_field
 from germ.jets import JetRing, filtration_make
 from germ.germs import (
+    ContactLinPair,
+    ContactPair,
+    LRPair,
     MapGerm,
     extend_map,
     extend_ring,
     group_level,
+    identity_element,
     restrict_map,
 )
 from germ.descent import verify_witness
 from germ.polysys import (
+    Poly,
+    PolyError,
     PolyRing,
+    PolySystem,
+    _census_generators,
     assemble_witness,
     brute_solve,
     compile_system,
@@ -178,3 +193,277 @@ def test_orbit_split_agrees_with_direct_group_enumeration():
         if down is not None:
             seen.add(tuple(str(c) for c in down.components))
     assert seen == {k for o in census2.orbits for k in o}
+
+
+# -- orbit censuses against one sweep of the enumerated group ----------------
+
+F2 = make_field("F2")
+EXT4 = make_extension(F2, "b^2+b+1")
+EXT9 = make_extension(F3, "b^2+1")
+
+
+def _census_by_enumeration(tag, f, ext):
+    """The census as one sweep of every group element: the extension orbit
+    is the set of images of f, and each rational orbit, taken in order of
+    its least member, the set of images of that member."""
+    source, target = f.source, f.target
+    source_K, target_K = extend_ring(source, ext), extend_ring(target, ext)
+    f_K = extend_map(f, ext, source_K, target_K)
+
+    def key(m):
+        return tuple(str(c) for c in m.components)
+
+    big, rational = set(), {}
+    for g in enumerate_group(tag, source_K, target_K):
+        moved = g.act(f_K)
+        big.add(key(moved))
+        down = restrict_map(moved, ext, source, target)
+        if down is not None:
+            rational[key(down)] = down
+    group = enumerate_group(tag, source, target)
+    orbits, representatives, placed = [], [], set()
+    for k in sorted(rational):
+        if k in placed:
+            continue
+        orbit = {key(g.act(rational[k])) for g in group}
+        assert orbit <= set(rational)
+        placed |= orbit
+        orbits.append(sorted(orbit))
+        representatives.append(list(k))
+    return {"group": tag, "extension_orbit_size": len(big),
+            "rational_members": len(rational), "orbits": orbits,
+            "representatives": representatives}
+
+
+def _shape(p, source_vars, target_vars, order, singular=False):
+    field = F2 if p == 2 else F3
+    ideal = [{(2,): field.one}] if singular else ()
+    return (JetRing(field, source_vars, order),
+            JetRing(field, target_vars, order, ideal=ideal))
+
+
+ALL = ("R", "L", "LR", "Klin", "C", "K")
+# (p, source, target, jet order, group, singular target): smooth shapes whose groups
+# enumerate within about 2 s over F4 or F9, and the fallback on the fat
+# point u^2 = 0
+CENSUS_CASES = (
+    [(2, ["x"], ["y"], 2, tag, False) for tag in ALL]
+    + [(2, ["x"], ["y"], 3, tag, False) for tag in ("R", "L", "LR", "Klin", "C")]
+    + [(2, ["x", "y"], ["u"], 1, tag, False) for tag in ALL]
+    + [(2, ["x", "y"], ["u", "v"], 1, tag, False) for tag in ("R", "L", "C")]
+    + [(3, ["x"], ["y"], 2, tag, False) for tag in ("R", "L", "LR", "C")]
+    + [(3, ["x"], ["y"], 3, tag, False) for tag in ("R", "L")]
+    + [(3, ["x", "y"], ["u"], 1, tag, False) for tag in ("R", "L", "C")]
+    + [(2, ["x"], ["u"], 2, tag, True) for tag in ("R", "L", "LR", "C", "K")]
+    + [(3, ["x"], ["u"], 2, tag, True) for tag in ("R", "L", "LR", "C")]
+)
+
+
+@pytest.mark.parametrize("case", range(len(CENSUS_CASES)))
+def test_orbit_census_matches_one_sweep_of_the_enumerated_group(case):
+    p, source_vars, target_vars, order, tag, singular = CENSUS_CASES[case]
+    source, target = _shape(p, source_vars, target_vars, order, singular)
+    rng = random.Random(case)
+    units = [c for c in source.field.elements() if not c.is_zero()]
+    # every other map of jet order >= 2 vanishes to order 2, where square
+    # classes split; on u^2 = 0 every map must, to respect the ideal
+    low = 2 if singular or (case % 2 == 0 and order >= 2) else 1
+    mons = [m for m in source.monomials if sum(m) >= low]
+    f = MapGerm(source, target, [source.zero] * len(target_vars))
+    while all(c.is_zero() for c in f.components):
+        f = MapGerm(source, target, [
+            source.jet({m: rng.choice(units) for m in mons if rng.random() < 2 / 3})
+            for _ in target_vars])
+    ext = EXT4 if p == 2 else EXT9
+    census = orbit_split(tag, f, ext)
+    assert (json.dumps(census.describe())
+            == json.dumps(_census_by_enumeration(tag, f, ext)))
+
+
+def test_quadratic_forms_in_two_variables_split_over_f3():
+    # x^2+y^2 and x*y are R-equivalent over F9 (-1 is a square there), not
+    # over F3 (it is not): the nondegenerate binary forms over F3 are the
+    # |GL_2(3)|/|O-_2(3)| = 48/8 anisotropic ones and the 48/4 split ones,
+    # inside a GL_2(9)-orbit of |GL_2(9)|/|O+_2(9)| = 5760/16
+    start = time.perf_counter()
+    source = JetRing(F3, ["x", "y"], 2)
+    target = JetRing(F3, ["u"], 2)
+    censuses = [orbit_split("R", germ_map(source, target, text), EXT9)
+                for text in ("x^2+y^2", "x*y")]
+    for census in censuses:
+        assert census.extension_orbit_size == 360
+        assert census.rational_count == 18
+        assert sorted(len(o) for o in census.orbits) == [6, 12]
+    assert censuses[0].describe() == censuses[1].describe()
+    by_member = {k: len(o) for o in censuses[0].orbits for k in o}
+    assert by_member[("x^2+y^2",)] == 6
+    assert by_member[("x*y",)] == 12
+    assert time.perf_counter() - start < 10
+
+
+def test_orbit_census_cap_counts_group_actions():
+    sq = germ_map(JetRing(F3, ["x"], 2), JetRing(F3, ["y"], 2), "x^2")
+    with pytest.raises(PolyError, match="exceeds the cap of 5 group actions"):
+        orbit_split("R", sq, EXT9, cap=5)
+    # x^2 has 4 images over F9 and 2 rational orbits of one member; R over
+    # F9 has 3 generators and over F3 2
+    assert orbit_split("R", sq, EXT9, cap=4 * 3 + 2 * 2).extension_orbit_size == 4
+    with pytest.raises(PolyError, match="cap"):
+        orbit_split("R", sq, EXT9, cap=4 * 3 + 2 * 2 - 1)
+
+
+def _as_element(tag, g, source, target):
+    """A factor's generator as the pair with the other factor's identity."""
+    if g.tag == tag:
+        return g
+    one = identity_element(tag, source, target)
+    if tag == "LR":
+        return LRPair(g, one.right) if g.tag == "L" else LRPair(one.left, g)
+    if tag == "K":
+        return ContactPair(g, one.right) if g.tag == "C" else ContactPair(one.contact, g)
+    return ContactLinPair(source, target, one.matrix, g, validate=False)
+
+
+F4_SHAPE = (JetRing(EXT4.top, ["x"], 2), JetRing(EXT4.top, ["y"], 2))
+GENERATION_CASES = (
+    [(_shape(p, ["x"], ["y"], 2), tag) for p in (2, 3) for tag in ALL]
+    + [(_shape(2, ["x", "y"], ["u"], 1), tag) for tag in ALL]
+    + [(_shape(2, ["x"], ["u", "v"], 1), tag) for tag in ALL]
+    + [(F4_SHAPE, tag) for tag in ALL]
+)
+
+
+@pytest.mark.parametrize("case", range(len(GENERATION_CASES)))
+def test_census_generators_generate_the_enumerated_group(case):
+    (source, target), tag = GENERATION_CASES[case]
+    elements, generating = _census_generators(tag, source, target, 10 ** 7)
+    assert generating
+    gens = [_as_element(tag, g, source, target) for g in elements]
+    one = identity_element(tag, source, target)
+    reached = {one.key()}
+    frontier = [one]
+    while frontier:
+        fresh = []
+        for h in frontier:
+            for g in gens:
+                gh = g.compose(h)
+                if gh.key() not in reached:
+                    reached.add(gh.key())
+                    fresh.append(gh)
+        frontier = fresh
+    assert reached == {g.key() for g in enumerate_group(tag, source, target)}
+
+
+# group elements in enumeration order: sha256 of repr([g.key() ...]),
+# recorded with the three per-factor enumerators this one replaced
+ENUMERATION_DIGESTS = [
+    ((2, ["x"], ["y"], 2, False), "R", 2, "712e21bd3555e7f53fe75e4e52a18cec51df531afb082eb6a0653eeca882efab"),
+    ((2, ["x"], ["y"], 2, False), "L", 2, "712e21bd3555e7f53fe75e4e52a18cec51df531afb082eb6a0653eeca882efab"),
+    ((2, ["x"], ["y"], 2, False), "LR", 4, "c851fa1b30e079e26f0657c6592b4cc842ccd44fcd8fd3ed5a4f61cbaa9061eb"),
+    ((2, ["x"], ["y"], 2, False), "Klin", 8, "3e168151c4cdba815ddafe189eb8b216645721f5f67267ac2731e5402bde861f"),
+    ((2, ["x"], ["y"], 2, False), "C", 4, "b350bbf5b8ac8a1ac4b4f3ab712d8e72c05c4538dd14248813d4206e52b43282"),
+    ((2, ["x"], ["y"], 2, False), "K", 8, "0785057846f226622b61f39593ba0de788c162e31d34b1c47373183255278c4d"),
+    ((3, ["x"], ["y"], 2, False), "R", 6, "151566bba81bf157192609e0de5f000f6aa87462d4d0e21f19ceb2d015cad140"),
+    ((3, ["x"], ["y"], 2, False), "LR", 36, "fdf8e2b716667a8270f551e45f95dbb9c03aa38ac7dfe334766dd32fc9fb7fff"),
+    ((3, ["x"], ["y"], 2, False), "Klin", 108, "0854284abe9a915a89aba4db7882a9febf145c1b5d4ee1e86739adbba7dd2e7a"),
+    ((3, ["x"], ["y"], 2, False), "C", 18, "7fe4a0b2e0df7e41ac165f94f5f1517fd5fd6007217b557f854f9c9f60ebb2ae"),
+    ((3, ["x"], ["y"], 2, False), "K", 108, "856c92f0dacfa60e7b8301748ff3bff7813fddaae22643a38951197b2d0a1195"),
+    ((2, ["x", "y"], ["u"], 1, False), "R", 6, "6f10aa0bbba86dd0ac7d7ae795d1e8b9425b1204f68d61bb4f1ce06ac4521099"),
+    ((2, ["x", "y"], ["u"], 1, False), "Klin", 24, "5a715cdb30ea3b50621488a5a84f8361c0fa7b0c473ed65c23bb10a409a3c61f"),
+    ((2, ["x", "y"], ["u"], 1, False), "C", 1, "b380bd47dbceef47521969fbf291f0ed26c02338916f1af15939ef13ccd6d30a"),
+    ((2, ["x", "y"], ["u"], 1, False), "K", 6, "0693c39ee815c53918cdd0ebb69f95a7c8357368b237075f7c3e0eb786c1a2a5"),
+    ((2, ["x", "y"], ["u", "v"], 1, False), "L", 6, "6f10aa0bbba86dd0ac7d7ae795d1e8b9425b1204f68d61bb4f1ce06ac4521099"),
+    ((2, ["x", "y"], ["u", "v"], 1, False), "C", 6, "05f560668cdbb416cc75c37b1f295839776157ef327c192a5b1099b95c42adef"),
+    ((3, ["x"], ["u"], 2, True), "L", 6, "117581dbdddb912fe9bcdff17f1ae275d4e602f8d47b02ab389909ffa01d392f"),
+    ((3, ["x"], ["u"], 2, True), "LR", 36, "91eb486cef30a36a0745cce263b179d160fcdb0bc197b7bd634a4cbe91549f4a"),
+    ((3, ["x"], ["u"], 2, True), "C", 18, "c51fe2388267dbc8c7df75b0048aaa0e5f6aa5c37f4ce15f50c4d0eb8bd7070f"),
+    ((3, ["x"], ["u"], 2, True), "K", 108, "be67bb1efaf028b8af53ebba33c7138ae0551752617ac6b213ad077e1080ae4b"),
+]
+
+
+@pytest.mark.parametrize("shape,tag,size,digest", ENUMERATION_DIGESTS)
+def test_group_enumeration_order_is_pinned(shape, tag, size, digest):
+    group = enumerate_group(tag, *_shape(*shape))
+    assert len(group) == size
+    assert hashlib.sha256(repr([g.key() for g in group]).encode()).hexdigest() == digest
+
+
+# -- depth-first search against the full product search ----------------------
+
+def _product_search(system, values, limit=None):
+    """Every point of the box over the occurring unknowns, in product order,
+    at which all equations vanish; the other unknowns are zero."""
+    active = system.occurring()
+    zero = system.field.zero
+    out = []
+    for point in itertools.product(sorted(values, key=lambda e: e.key()),
+                                   repeat=len(active)):
+        env = dict(zip(active, point))
+        if all(eq.evaluate(env).is_zero() for eq in system.equations):
+            out.append({**env, **{n: zero for n in system.ring.names if n not in env}})
+            if limit is not None and len(out) >= limit:
+                break
+    return out
+
+
+FIELDS = {3: F3, 5: make_field("F5")}
+EXTENSIONS = {3: EXT9, 5: make_extension(FIELDS[5], "b^2+2")}
+
+
+@st.composite
+def _systems(draw):
+    p = draw(st.sampled_from([3, 5]))
+    field = FIELDS[p]
+    mode = draw(st.sampled_from(["base", "domain", "extension", "extension-domain"]))
+    # at most 9^3 points in the box
+    most = 2 if mode.startswith("extension") and p == 5 else 3
+    names = ["a", "b", "c"][:draw(st.integers(0, most))]
+    ring = PolyRing(field, names)
+    exps = st.tuples(*[st.integers(0, 2) for _ in names])
+    equations = []
+    for _ in range(draw(st.integers(0, 3))):
+        terms = draw(st.dictionaries(exps, st.integers(0, p - 1), max_size=3))
+        equations.append(ring.poly({m: field.from_int(c) for m, c in terms.items()}))
+    system = PolySystem(ring, equations, [{} for _ in equations])
+    limit = draw(st.one_of(st.none(), st.integers(1, 4)))
+    return system, p, mode, limit, draw(st.randoms(use_true_random=False))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_systems())
+def test_brute_solve_matches_the_product_search(drawn):
+    system, p, mode, limit, rng = drawn
+    kwargs = {} if limit is None else {"limit": limit}
+    searched = system
+    if mode.startswith("extension"):
+        ext = EXTENSIONS[p]
+        kwargs["field"] = ext.top
+        searched = extend_system(system, ext)
+    values = list(searched.field.elements())
+    if mode.endswith("domain"):
+        values = rng.sample(values, rng.randrange(len(values) + 1))
+        kwargs["domain"] = values
+    got = brute_solve(system, **kwargs)
+    want = _product_search(searched, values, limit)
+    assert [list(s.items()) for s in got] == [list(s.items()) for s in want]
+
+
+def test_an_equation_is_tested_once_its_last_unknown_is_set(monkeypatch):
+    ring = PolyRing(F3, ["a", "b", "c"])
+    system = PolySystem(ring, [ring.from_expr("a^2+1"), ring.from_expr("b*c")],
+                        [{}, {}])
+    calls = []
+    evaluate = Poly.evaluate
+    monkeypatch.setattr(Poly, "evaluate",
+                        lambda self, env: calls.append(dict(env)) or evaluate(self, env))
+    assert brute_solve(system) == []
+    # a^2+1 has no root in F3: three evaluations at a alone, none deeper
+    assert [sorted(env) for env in calls] == [["a"]] * 3
+
+
+def test_a_nonzero_constant_equation_has_no_solutions():
+    ring = PolyRing(F3, ["a", "b"])
+    system = PolySystem(ring, [ring.from_expr("a*b"), ring.from_expr("2")], [{}, {}])
+    assert brute_solve(system) == []
+    empty = PolySystem(PolyRing(F3, []), [], [])
+    assert brute_solve(empty) == [{}]
