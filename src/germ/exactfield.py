@@ -916,9 +916,5 @@ def is_pth_power(e: FieldElem, p: int) -> Optional[FieldElem]:
     return root
 
 
-def coordinates(e: FieldElem, ext: Extension) -> tuple:
-    return ext.coordinates(e)
-
-
 def descend_scalar(e: FieldElem, ext: Extension) -> Optional[FieldElem]:
     return ext.descend(e)

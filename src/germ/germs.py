@@ -51,14 +51,6 @@ def _reindex(jet: Jet, ring: JetRing) -> Jet:
     return ring.jet(out)
 
 
-def _identity_args(ring: JetRing, mapping: dict) -> dict:
-    """Substitution arguments: ``mapping`` plus identity on family parameters."""
-    args = dict(mapping)
-    for t in ring.tvars:
-        args.setdefault(t, ring.var(t))
-    return args
-
-
 def product_ring(source: JetRing, target: JetRing) -> JetRing:
     """The joint ring in source and target variables, carrying both ideals."""
     if source.field != target.field:
@@ -106,8 +98,8 @@ class MapGerm:
 
     def pullback(self, q: Jet) -> Jet:
         """Substitute the components into a jet in the target variables."""
-        mapping = dict(zip(self.target.xvars, self.components))
-        return q.substitute(_identity_args(self.source, mapping), ring=self.source)
+        return PowerTable.at(self.target, self.source,
+                             dict(zip(self.target.xvars, self.components))).image(q)
 
     def order(self, filt: Filtration) -> float:
         return filt.order_of(self.components)
@@ -146,16 +138,10 @@ class MapGerm:
 
 # -- Newton inversions ------------------------------------------------------
 
-def _linear_matrix(comps: Sequence[Jet], ring: JetRing):
-    """Coefficients of the plain geometric variables, parameter-free part."""
-    rows = []
-    for c in comps:
-        row = []
-        for j in range(ring.nx):
-            mon = tuple(1 if i == j else 0 for i in range(len(ring.variables)))
-            row.append(c.coeffs.get(mon, ring.field.zero))
-        rows.append(row)
-    return rows
+def _linear_matrix(comps: Sequence[Jet], ring: JetRing, names: Sequence[str]):
+    """Coefficients of the plain variables ``names`` in each component."""
+    mons = [tuple(1 if v == n else 0 for v in ring.variables) for n in names]
+    return [[c.coeffs.get(mon, ring.field.zero) for mon in mons] for c in comps]
 
 
 def _is_singular(rows, field: Field) -> bool:
@@ -174,8 +160,9 @@ def _field_matrix_inverse(rows, field: Field):
 
 
 def invert_tuple(comps: Sequence[Jet], ring: JetRing, names: Sequence[str]):
-    """Tuple Psi with comps(Psi) = identity, by Newton steps on the error."""
-    A = _linear_matrix(comps, ring)
+    """Tuple Psi with comps(Psi) = identity, by Newton steps on the error;
+    the variables outside ``names`` stay fixed."""
+    A = _linear_matrix(comps, ring, names)
     field = ring.field
     lin_entries = [[c if isinstance(c, FieldElem) else field.zero for c in row] for row in A]
     Ainv = _field_matrix_inverse(lin_entries, field)
@@ -185,9 +172,8 @@ def invert_tuple(comps: Sequence[Jet], ring: JetRing, names: Sequence[str]):
     psi = [sum((x.scale(Ainv[i][j]) for j, x in enumerate(xs)), ring.zero)
            for i in range(len(names))]
     for _ in range(ring.order + (ring.torder or 0) + 2):
-        mapping = dict(zip(names, psi))
-        err = [c.substitute(_identity_args(ring, mapping), ring=ring) - x
-               for c, x in zip(comps, xs)]
+        table = PowerTable.at(ring, ring, dict(zip(names, psi)))
+        err = [table.image(c) - x for c, x in zip(comps, xs)]
         if all(e.is_zero() for e in err):
             return psi
         psi = [p - sum((e.scale(Ainv[i][j]) for j, e in enumerate(err)), ring.zero)
@@ -283,6 +269,7 @@ class RightAut(GroupElement):
         self.comps = tuple(ring.jet(c) for c in comps)
         if len(self.comps) != ring.nx:
             raise GermError(f"expected {ring.nx} components, got {len(self.comps)}")
+        self._table = None
         if validate:
             self._validate()
 
@@ -292,24 +279,29 @@ class RightAut(GroupElement):
                 raise GermError(f"component for {name!r} has a constant term")
         if _is_singular(self.linear_part(), self.ring.field):
             raise GermError("coordinate change has a singular linear part")
-        mapping = dict(zip(self.ring.xvars, self.comps))
-        args = _identity_args(self.ring, mapping)
         for g in self.ring.ideal_gen_jets():
-            image = g.substitute(args, ring=self.ring)
-            if not image.is_zero():
+            if not self.substitute_into(g).is_zero():
                 raise GermError(f"coordinate change does not preserve the ideal: moves {g}")
+
+    @property
+    def table(self) -> PowerTable:
+        """The powers of the components, built once and shared by every
+        substitution into this element (parameters stay fixed)."""
+        if self._table is None:
+            self._table = PowerTable.at(self.ring, self.ring,
+                                        dict(zip(self.ring.xvars, self.comps)))
+        return self._table
 
     def linear_part(self):
         """Coefficients of the plain geometric variables in each component."""
-        return _linear_matrix(self.comps, self.ring)
+        return _linear_matrix(self.comps, self.ring, self.ring.xvars)
 
     @classmethod
     def identity(cls, ring: JetRing) -> "RightAut":
         return cls(ring, [ring.var(n) for n in ring.xvars], validate=False)
 
     def substitute_into(self, jet: Jet) -> Jet:
-        mapping = dict(zip(self.ring.xvars, self.comps))
-        return jet.substitute(_identity_args(self.ring, mapping), ring=self.ring)
+        return self.table.image(jet)
 
     def act(self, f: MapGerm) -> MapGerm:
         if f.source != self.ring:
@@ -366,10 +358,9 @@ class LeftAut(GroupElement):
     def act(self, f: MapGerm) -> MapGerm:
         if f.target != self.ring:
             raise GermError("map and target change live on different targets")
-        mapping = dict(zip(self.ring.xvars, f.components))
-        comps = [c.substitute(_identity_args(f.source, mapping), ring=f.source)
-                 for c in self.comps]
-        return MapGerm(f.source, f.target, comps, validate=False)
+        table = PowerTable.at(self.ring, f.source, dict(zip(self.ring.xvars, f.components)))
+        return MapGerm(f.source, f.target, [table.image(c) for c in self.comps],
+                       validate=False)
 
     def compose(self, other: "LeftAut") -> "LeftAut":
         if not isinstance(other, LeftAut):
@@ -486,8 +477,7 @@ class ContactLinPair(GroupElement):
 
     def inverse(self) -> "ContactLinPair":
         rinv = self.right.inverse()
-        moved = [[RightAut(self.source, rinv.comps, validate=False).substitute_into(e)
-                  for e in row] for row in self.matrix]
+        moved = [[rinv.substitute_into(e) for e in row] for row in self.matrix]
         return ContactLinPair(self.source, self.target,
                               invert_matrix_jets(moved, self.source), rinv, validate=False)
 
@@ -550,22 +540,12 @@ class Contact(GroupElement):
 
     def linear_part(self):
         """Coefficients of the plain target variables in each component."""
-        nsrc = self.source.nx
-        rows = []
-        for c in self.comps:
-            row = []
-            for j in range(self.target.nx):
-                mon = tuple(1 if i == nsrc + j else 0 for i in range(len(self.joint.variables)))
-                row.append(c.coeffs.get(mon, self.joint.field.zero))
-            rows.append(row)
-        return rows
+        return _linear_matrix(self.comps, self.joint, self.target.xvars)
 
     def _pull_generator(self, q: Jet) -> Jet:
-        mapping = dict(zip(self.target.xvars, self.comps))
-        for n in self.source.xvars:
-            mapping[n] = self.joint.var(n)
-        return _reindex(q, self.joint.raw()).substitute(
-            _identity_args(self.joint, mapping), ring=self.joint)
+        """The target jet ``q`` at the stored tuple, in the joint ring."""
+        return PowerTable.at(self.target, self.joint,
+                             dict(zip(self.target.xvars, self.comps))).image(q)
 
     @classmethod
     def identity(cls, source: JetRing, target: JetRing,
@@ -576,11 +556,8 @@ class Contact(GroupElement):
 
     def substitute_map(self, comps: Sequence[Jet], ring: JetRing):
         """Components of the stored tuple at (x, comps)."""
-        mapping = dict(zip(self.target.xvars, comps))
-        for n in self.source.xvars:
-            mapping[n] = ring.var(n)
-        args = _identity_args(ring, mapping)
-        return [c.substitute(args, ring=ring) for c in self.comps]
+        table = PowerTable.at(self.joint, ring, dict(zip(self.target.xvars, comps)))
+        return [table.image(c) for c in self.comps]
 
     def act(self, f: MapGerm) -> MapGerm:
         if f.source != self.source or f.target != self.target:
@@ -591,29 +568,14 @@ class Contact(GroupElement):
     def compose(self, other: "Contact") -> "Contact":
         if not isinstance(other, Contact):
             raise GermError(f"cannot compose C with {other.tag}")
-        mapping = dict(zip(self.target.xvars, other.comps))
-        for n in self.source.xvars:
-            mapping[n] = self.joint.var(n)
-        args = _identity_args(self.joint, mapping)
-        return Contact(self.source, self.target,
-                       [c.substitute(args, ring=self.joint) for c in self.comps],
+        return Contact(self.source, self.target, self.substitute_map(other.comps, self.joint),
                        joint=self.joint, validate=False)
 
     def fiber_inverse(self) -> "Contact":
-        """The tuple D with D(x, self(x, y)) = y, by Newton steps in y."""
-        B = self.linear_part()
-        Binv = _field_matrix_inverse(B, self.joint.field)
-        ys = [self.joint.var(n) for n in self.target.xvars]
-        D = [sum((y.scale(Binv[i][j]) for j, y in enumerate(ys)), self.joint.zero)
-             for i in range(self.target.nx)]
-        for _ in range(self.joint.order + (self.joint.torder or 0) + 2):
-            inner = Contact(self.source, self.target, D, joint=self.joint, validate=False)
-            err = [c - y for c, y in zip(self.compose(inner).comps, ys)]
-            if all(e.is_zero() for e in err):
-                return inner
-            D = [d - sum((e.scale(Binv[i][j]) for j, e in enumerate(err)), self.joint.zero)
-                 for i, d in enumerate(D)]
-        raise GermError("fiber inversion did not terminate")  # pragma: no cover
+        """The tuple D with D(x, self(x, y)) = y, inverted in y alone."""
+        return Contact(self.source, self.target,
+                       invert_tuple(self.comps, self.joint, self.target.xvars),
+                       joint=self.joint, validate=False)
 
     inverse = fiber_inverse
 
@@ -647,31 +609,12 @@ class ContactPair(GroupElement):
             raise GermError(f"cannot compose K with {other.tag}")
         # self.act(other.act(f)) = C1(x, C2(., f o Phi2 o .) o Phi1)
         #                        = C'(x, f o Phi2 o Phi1) with C' = C1(x, C2(Phi1(x), y))
-        joint = self.contact.joint
-        mapping = {n: self.right.comps[i] for i, n in enumerate(self.contact.source.xvars)}
-        mapping = {n: _reindex(c, joint) for n, c in mapping.items()}
-        for n in self.contact.target.xvars:
-            mapping[n] = joint.var(n)
-        args = _identity_args(joint, mapping)
-        moved = [c.substitute(args, ring=joint) for c in other.contact.comps]
-        inner = Contact(self.contact.source, self.contact.target, moved,
-                        joint=joint, validate=False)
-        return ContactPair(self.contact.compose(inner), self.right.compose(other.right))
+        return ContactPair(self.contact.compose(_after_source_change(other.contact, self.right)),
+                           self.right.compose(other.right))
 
     def inverse(self) -> "ContactPair":
         rinv = self.right.inverse()
-        joint = self.contact.joint
-        D = self.contact.fiber_inverse()
-        mapping = {n: _reindex(c, joint) for n, c in
-                   zip(self.contact.source.xvars, rinv.comps)}
-        for n in self.contact.target.xvars:
-            mapping[n] = joint.var(n)
-        args = _identity_args(joint, mapping)
-        moved = [c.substitute(args, ring=joint) for c in D.comps]
-        return ContactPair(
-            Contact(self.contact.source, self.contact.target, moved,
-                    joint=joint, validate=False),
-            rinv)
+        return ContactPair(_after_source_change(self.contact.fiber_inverse(), rinv), rinv)
 
     def is_identity(self) -> bool:
         return self.contact.is_identity() and self.right.is_identity()
@@ -689,6 +632,15 @@ class ContactPair(GroupElement):
 
     def __repr__(self):
         return f"<K {self.contact!r} {self.right!r}>"
+
+
+def _after_source_change(contact: Contact, right: RightAut) -> Contact:
+    """The contact tuple C(Phi(x), y), Phi the source change ``right``."""
+    joint = contact.joint
+    table = PowerTable.at(joint, joint, {n: _reindex(c, joint)
+                                         for n, c in zip(contact.source.xvars, right.comps)})
+    return Contact(contact.source, contact.target, [table.image(c) for c in contact.comps],
+                   joint=joint, validate=False)
 
 
 GROUP_TAGS = ("R", "L", "LR", "C", "K", "Klin")
@@ -725,23 +677,23 @@ def level_probes(source: JetRing, target: JetRing, linear: bool):
             for slot in range(m):
                 yield tuple(jet if i == slot else source.zero for i in range(m))
         return
+    identity = PowerTable.at(source, source, {})
+    gens = [_slot_terms(q, target.xvars, source) for q in target.ideal_gen_jets()]
     for comps in itertools.product([source.zero] + units, repeat=m):
         if all(c.is_zero() for c in comps):
             continue
-        if target.ideal_gens:
-            try:
-                MapGerm(source, target, comps, validate=True)
-            except GermError:
+        if gens:
+            slot_power = _at_probe(identity, comps, target.xvars)[1]
+            if any(not _at_slots(terms, slot_power, source).is_zero() for terms in gens):
                 continue
         yield comps
 
 
-def probe_level(image, probes, source: JetRing, filt: Filtration) -> float:
-    """The largest j with ord(image(v)) >= ord(v) + j over the probes v whose
-    image is nonzero, capped by the jet range; -1 when it is below 0."""
+def probe_level(pairs, source: JetRing, filt: Filtration) -> float:
+    """The largest j with ord(out) >= ord(v) + j over the pairs (v, out)
+    with out nonzero, capped by the jet range; -1 when it is below 0."""
     level = source.order + (source.torder or 0)
-    for probe in probes:
-        out = image(probe)
+    for probe, out in pairs:
         if all(c.is_zero() for c in out):
             continue
         jv = filt.order_of(out) - filt.order_of(probe)
@@ -793,73 +745,85 @@ def _slot_terms(comp: Jet, slots: Sequence[str], source: JetRing):
     return terms
 
 
+def _at_probe(table: PowerTable, probe, slots: Sequence[str]):
+    """The probe tuple v moved by the table's substitution phi, and the
+    powers of its slots: (v(phi), beta -> v(phi)^beta).
+
+    When every slot of v is zero or x^alpha_k with coefficient 1, both come
+    off ``table``: v(phi)^beta = phi^(sum_k beta_k alpha_k).  Any other
+    probe (a source ideal can reduce x^alpha) is evaluated by
+    ``PowerTable.image`` and a table of its own images.
+    """
+    source = table.ring
+    alphas = [_unit_monomial(p) for p in probe]
+    if not all(a is not None or p.is_zero() for a, p in zip(alphas, probe)):
+        inner = [table.image(p) for p in probe]
+        return inner, PowerTable(source, inner, slots).power
+
+    def slot_power(beta):
+        key = [0] * len(source.variables)
+        for b, a in zip(beta, alphas):
+            if b:
+                if a is None:
+                    return source.zero
+                for i, e in enumerate(a):
+                    key[i] += b * e
+        return table.power(tuple(key))
+
+    return [source.zero if a is None else table.power(a) for a in alphas], slot_power
+
+
+def _at_slots(terms, slot_power, source: JetRing) -> Jet:
+    """The sum of P * slot_power(beta) over the ``_slot_terms`` pairs."""
+    parts = []
+    for beta, P in terms:
+        pw = slot_power(beta)
+        if not pw.is_zero():
+            parts.append((None, P * pw) if isinstance(P, Jet) else (P, pw))
+    return source.combination(parts)
+
+
+def probe_images(source: JetRing, target: JetRing, outer=None,
+                 right: Optional[RightAut] = None, matrix=None):
+    """Pairs (v, outer(matrix * v(phi))) over the test maps v of
+    ``level_probes``: phi is the source change ``right`` (the identity when
+    None), ``matrix`` a Klin matrix, and ``outer`` a target-side tuple
+    sum P_beta(x, t) * y^beta (L, C, and their tangent vectors).  Tuple
+    probes are used exactly when ``outer`` is given.
+
+    Every image is read off ``right.table`` (or the identity's) with no
+    per-probe substitution: v(phi) = phi^alpha for a monomial tuple
+    (x^alpha_1, ..., x^alpha_m), and the outer tuple gives the sum of
+    P_beta * phi^(sum_k beta_k alpha_k).  This is exact: the entries are
+    ring products in the truncated quotient, as a substitution computes
+    them, and exponent vectors are never truncated, since phi may have
+    terms of geometric degree 0 (x -> x+t in a family).
+    """
+    table = right.table if right is not None else PowerTable.at(source, source, {})
+    terms = None if outer is None else [_slot_terms(c, target.xvars, source) for c in outer]
+    for probe in level_probes(source, target, outer is None):
+        inner, slot_power = _at_probe(table, probe, target.xvars)
+        if matrix is not None:
+            inner = matrix_apply(matrix, inner, source)
+        yield probe, (inner if terms is None
+                      else [_at_slots(t, slot_power, source) for t in terms])
+
+
 def group_level(element: GroupElement, source: JetRing, target: JetRing,
                 filt: Filtration) -> float:
     """The largest j with ord(g.v - v) >= ord(v) + j over the test maps v of
-    ``level_probes``.  Returns -1 when the element fails even the level-0
-    bound, which can happen for non-standard filtrations.
-
-    Every probe image is read off one ``PowerTable`` of phi^gamma, phi the
-    element's source part (the identity for L and C), with no per-probe
-    substitution: R gives phi^alpha, Klin M * phi^alpha, and a target-side
-    tuple sum P_beta(x, t) * y^beta (L, LR, C, K) gives the sum of
-    P_beta * phi^(sum_k beta_k alpha_k) at the monomial tuple
-    (x^alpha_1, ..., x^alpha_m).  This is exact: the entries are ring
-    products in the truncated quotient, as a substitution computes them,
-    and exponent vectors are never truncated, since phi may have terms of
-    geometric degree 0 (x -> x+t in a family).  A probe component that is
-    not one monomial with coefficient 1 (a source ideal can reduce x^alpha)
-    is evaluated by ``PowerTable.image`` and a table of its own images.
+    ``level_probes``, with g.v from ``probe_images``.  Returns -1 when the
+    element fails even the level-0 bound, which can happen for
+    non-standard filtrations.
     """
     tag = element.tag
     right = element if tag == "R" else getattr(element, "right", None)
-    phi = right.comps if right is not None else [source.var(n) for n in source.xvars]
-    table = PowerTable(source, list(phi) + [source.var(t) for t in source.tvars])
-    if tag in ("L", "LR"):
-        outer = element if tag == "L" else element.left
-    elif tag in ("C", "K"):
-        outer = element if tag == "C" else element.contact
-    else:
-        outer = None
-    outer_terms = ([_slot_terms(c, target.xvars, source) for c in outer.comps]
-                   if outer is not None else None)
-
-    def moved(probe):
-        alphas = [_unit_monomial(p) for p in probe]
-        fast = all(a is not None or p.is_zero() for a, p in zip(alphas, probe))
-        if fast:
-            inner = [source.zero if a is None else table.power(a) for a in alphas]
-        else:
-            inner = [table.image(p) for p in probe]
-        if tag == "R":
-            return inner
-        if tag == "Klin":
-            return matrix_apply(element.matrix, inner, source)
-        if fast:
-            def slot_power(beta):
-                key = [0] * len(source.variables)
-                for b, a in zip(beta, alphas):
-                    if b:
-                        if a is None:
-                            return source.zero
-                        for i, e in enumerate(a):
-                            key[i] += b * e
-                return table.power(tuple(key))
-        else:
-            slot_power = PowerTable(source, inner).power
-        comps = []
-        for terms in outer_terms:
-            parts = []
-            for beta, P in terms:
-                pw = slot_power(beta)
-                if pw.is_zero():
-                    continue
-                parts.append((None, P * pw) if isinstance(P, Jet) else (P, pw))
-            comps.append(source.combination(parts))
-        return comps
-
-    return probe_level(lambda probe: [a - b for a, b in zip(moved(probe), probe)],
-                       level_probes(source, target, tag in ("R", "Klin")), source, filt)
+    outer = (element if tag in ("L", "C")
+             else getattr(element, "left", None) or getattr(element, "contact", None))
+    images = probe_images(source, target, None if outer is None else outer.comps, right,
+                          element.matrix if tag == "Klin" else None)
+    return probe_level(((v, [a - b for a, b in zip(img, v)]) for v, img in images),
+                       source, filt)
 
 
 # -- change of coefficient field --------------------------------------------

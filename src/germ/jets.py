@@ -18,7 +18,7 @@ import math
 from typing import Iterable, Optional, Sequence
 
 from . import expr
-from .exactfield import Field, FieldElem, FieldError
+from .exactfield import Field, FieldElem
 
 
 class JetError(ValueError):
@@ -82,7 +82,7 @@ class JetRing:
                 gens.append(self._truncate(coeffs))
             gens = [g for g in gens if g]
             self.ideal_gens = tuple(tuple(sorted(g.items(), key=lambda kv: _mon_sort_key(kv[0]))) for g in gens)
-            self.ideal_basis = self._span_ideal(gens)
+            self.ideal_basis = ideal_span(gens, self)
 
     def _enumerate_monomials(self):
         """The in-range exponent vectors in ``_mon_sort_key`` order: by total
@@ -128,26 +128,6 @@ class JetRing:
             if self._in_range(mon) and not c.is_zero():
                 out[mon] = c
         return out
-
-    def _span_ideal(self, gens):
-        rows = []
-        for g in gens:
-            for mon in self.monomials:
-                prod = {}
-                for gm, c in g.items():
-                    m = _mon_mul(gm, mon)
-                    if self._in_range(m):
-                        prod[m] = prod.get(m, self.field.zero) + c
-                vec = [self.field.zero] * self.dim
-                nonzero = False
-                for m, c in prod.items():
-                    if not c.is_zero():
-                        vec[self.mon_index[m]] = c
-                        nonzero = True
-                if nonzero:
-                    rows.append(vec)
-        reduced, pivots = rref(rows, self.field)
-        return SubspaceBasis(VectorContext(self, 1), reduced, pivots)
 
     def _reduce_mod_ideal(self, coeffs: dict) -> dict:
         if self.ideal_basis is None or not coeffs:
@@ -431,8 +411,7 @@ class Jet:
 
         Every variable actually occurring must be assigned a jet with zero
         constant term; all argument jets must share one ring, which becomes
-        the ring of the result.  The powers of the arguments come from one
-        ``PowerTable``.
+        the ring of the result.  One-jet form of ``PowerTable``.
         """
         target = ring
         for name, a in args.items():
@@ -442,18 +421,10 @@ class Jet:
                 target = a.ring
             elif a.ring is not target and a.ring != target:
                 raise JetError("substitution arguments from different rings")
-            if not a.constant_term().is_zero():
-                raise JetError(f"argument for {name!r} has a constant term")
         if target is None:
             target = self.ring
-
-        for mon in self.coeffs:
-            for i, e in enumerate(mon):
-                if e and self.ring.variables[i] not in args:
-                    raise JetError(
-                        f"no substitution given for variable {self.ring.variables[i]!r}")
-        table = PowerTable(target, [args.get(name) for name in self.ring.variables])
-        return table.image(self)
+        names = self.ring.variables
+        return PowerTable(target, [args.get(n) for n in names], names).image(self)
 
     def map_coeffs(self, fn, ring: JetRing) -> "Jet":
         """Transport this jet into ``ring`` by applying ``fn`` to coefficients."""
@@ -501,22 +472,41 @@ def _embed_coeff(c, source: JetRing, target: JetRing):
 
 
 class PowerTable:
-    """Memoized powers phi^gamma = prod_i phi_i^gamma_i of argument jets.
+    """Memoized powers phi^gamma = prod_i phi_i^gamma_i of argument jets:
+    the one way jets are substituted into.
 
-    ``args`` holds one jet of ``ring`` per variable of the jets to be
-    evaluated (``None`` for a variable that must not occur); every entry
-    lives in ``ring``.  Each entry is one jet product of a lower entry with
-    one argument, so the entries are exact products in the truncated
-    quotient ring.  Keys are full exponent vectors and are never
-    truncated: an argument may have terms of geometric degree 0 (x -> x+t
-    in a family), so the power of a monomial outside the jet range can
-    still have terms inside it.
+    ``args`` holds one jet of ``ring`` per variable ``names[i]`` of the
+    jets to be evaluated (``None`` for a variable that must not occur);
+    ``names`` defaults to the variables of ``ring``.  The arguments are
+    checked once, here: none may have a constant term, and a jet that uses
+    a variable with no argument is refused by ``power``.  Each entry is one jet product of a lower entry with one
+    argument, so the entries are exact products in the truncated quotient
+    ring.  Keys are full exponent vectors and are never truncated: an
+    argument may have terms of geometric degree 0 (x -> x+t in a family),
+    so the power of a monomial outside the jet range can still have terms
+    inside it.
     """
 
-    def __init__(self, ring: JetRing, args: Sequence[Optional[Jet]]):
+    def __init__(self, ring: JetRing, args: Sequence[Optional[Jet]],
+                 names: Optional[Sequence[str]] = None):
         self.ring = ring
+        self.names = ring.variables if names is None else tuple(names)
         self.args = tuple(None if a is None else ring.jet(a) for a in args)
+        for name, a in zip(self.names, self.args):
+            if a is not None and not a.constant_term().is_zero():
+                raise JetError(f"argument for {name!r} has a constant term")
         self._powers = {tuple(0 for _ in self.args): ring.one}
+
+    @classmethod
+    def at(cls, from_ring: JetRing, ring: JetRing, mapping: dict) -> "PowerTable":
+        """The table evaluating jets of ``from_ring`` at ``mapping`` (name ->
+        jet of ``ring``); a variable left out maps to itself when ``ring``
+        has a variable of that name (family parameters, the passive side of
+        a joint ring)."""
+        names = from_ring.variables
+        return cls(ring, [mapping[n] if n in mapping
+                          else ring.var(n) if n in ring.var_index else None
+                          for n in names], names)
 
     def power(self, gamma) -> Jet:
         """phi^gamma, built from the nearest known entry below it."""
@@ -532,6 +522,8 @@ class PowerTable:
             i = len(key) - 1
             while not key[i]:
                 i -= 1
+            if self.args[i] is None:
+                raise JetError(f"no substitution given for variable {self.names[i]!r}")
             chain.append((key, i))
             key = key[:i] + (key[i] - 1,) + key[i + 1:]
             p = powers.get(key)
@@ -795,7 +787,12 @@ class SubspaceBasis:
 
 
 def ideal_span(gens, ring: JetRing, ncomp: int = 1) -> SubspaceBasis:
-    """Span of all monomial multiples of ``gens`` inside the jet space."""
+    """Span of all monomial multiples of ``gens`` inside the jet space.
+
+    The multipliers have coefficient ``ring.field.one``, so generators with
+    field coefficients span over the field also in a ring whose domain is
+    larger (the polynomial-coefficient rings of ``compile_system``).
+    """
     if ncomp != 1:
         raise JetError("ideal_span works on scalar jets")
     context = VectorContext(ring, 1)
@@ -803,7 +800,7 @@ def ideal_span(gens, ring: JetRing, ncomp: int = 1) -> SubspaceBasis:
     for g in gens:
         g = ring.jet(g) if not isinstance(g, Jet) else g
         for mon in ring.monomials:
-            prod = g * ring.monomial(mon)
+            prod = g * ring.monomial(mon, ring.field.one)
             if not prod.is_zero():
                 rows.append(context.to_vec(prod))
     reduced, pivots = rref(rows, ring.field)
@@ -993,10 +990,6 @@ def filtration_make(ring: JetRing, spec) -> Filtration:
                 gens.append(tuple(g))
         chain.append(_monomial_ideal(ring, gens))
     return Filtration(ring, "chain", chain)
-
-
-def order_of(value, filt: Filtration) -> float:
-    return filt.order_of(value)
 
 
 # -- serialization ----------------------------------------------------------

@@ -28,6 +28,7 @@ from .germs import (
     MapGerm, RightAut, LeftAut, LRPair, ContactLinPair, Contact, ContactPair,
     GermError, product_ring, extend_ring, extend_map, restrict_map, level_probes,
 )
+from .descent import verify_witness
 
 
 class PolyError(ValueError):
@@ -589,8 +590,8 @@ def extend_system(system: PolySystem, ext: Extension) -> PolySystem:
 def assemble_witness(system: PolySystem, solution: dict):
     """Build the group element a solution encodes and verify its action.
 
-    Returns (element, report); the element satisfies act(element, f) =
-    f_tilde exactly when the report says ok.
+    Returns (element, report), the report that of ``verify_witness``; the
+    element satisfies act(element, f) = f_tilde exactly when it says ok.
     """
     if system.layout is None:
         raise PolyError("this system was not compiled in-process; nothing to assemble")
@@ -627,14 +628,7 @@ def assemble_witness(system: PolySystem, solution: dict):
         B = ContactPair(Contact.identity(source, target, joint=lay["joint"]),
                         built["right"])
         witness = B.inverse().compose(A)
-
-    moved = witness.act(f)
-    diff = [a - b for a, b in zip(moved.components, ft.components)]
-    ok = all(d.is_zero() for d in diff)
-    report = {"ok": ok}
-    if not ok:
-        report["difference"] = [str(d) for d in diff]
-    return witness, report
+    return witness, verify_witness(witness, f, ft)
 
 
 # -- exhaustive search -------------------------------------------------------

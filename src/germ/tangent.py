@@ -29,13 +29,13 @@ import copy
 from typing import Optional, Sequence
 
 from .jets import (
-    Jet, JetRing, Filtration, VectorContext, SubspaceBasis,
+    Jet, JetRing, Filtration, PowerTable, VectorContext, SubspaceBasis,
     ideal_span, nullspace, solve_columns,
 )
 from .germs import (
     MapGerm, GroupElement, RightAut, LeftAut, LRPair, Contact, ContactPair,
     ContactLinPair, product_ring, matrix_apply, matrix_mul, level_probes,
-    probe_level, _identity_args, _reindex,
+    probe_images, probe_level, _reindex,
 )
 
 
@@ -152,9 +152,10 @@ class TargetDerVector(_Derivation):
         super().__init__(ring, ring.xvars, comps)
 
     def apply_comps(self, comps, source):
-        mapping = dict(zip(self.ring.xvars, comps))
-        args = _identity_args(source, mapping)
-        return [b.substitute(args, ring=source) for b in self.comps]
+        """The coefficients at y = comps (source variables and parameters
+        stay fixed, as on the joint ring of a contact vector)."""
+        table = PowerTable.at(self.ring, source, dict(zip(self.names, comps)))
+        return [table.image(b) for b in self.comps]
 
     def exp(self) -> LeftAut:
         return LeftAut(self.ring, self.flow(), validate=False)
@@ -225,12 +226,7 @@ class ContactVector(_Derivation):
         self.joint = joint if joint is not None else product_ring(source, target)
         super().__init__(self.joint, target.xvars, comps)
 
-    def apply_comps(self, comps, source):
-        mapping = dict(zip(self.target.xvars, comps))
-        for n in self.source.xvars:
-            mapping[n] = source.var(n)
-        args = _identity_args(source, mapping)
-        return [c.substitute(args, ring=source) for c in self.comps]
+    apply_comps = TargetDerVector.apply_comps
 
     def exp(self) -> Contact:
         return Contact(self.source, self.target, self.flow(), joint=self.joint,
@@ -269,13 +265,7 @@ def _operator_log(ring: JetRing, names, comps):
     variable; the difference operator is nilpotent exactly when the
     substitution is unipotent at jet level.
     """
-    mapping = dict(zip(names, comps))
-    for n in ring.variables:
-        mapping.setdefault(n, ring.var(n))
-    args = _identity_args(ring, mapping)
-
-    def sigma(h: Jet) -> Jet:
-        return h.substitute(args, ring=ring)
+    sigma = PowerTable.at(ring, ring, dict(zip(names, comps))).image
 
     out = []
     for name in names:
@@ -644,11 +634,15 @@ def vector_level(vec: TangentVector, source: JetRing, target: JetRing,
                  filt: Filtration) -> float:
     """Largest j with ord(vec . v) >= ord(v) + j over test maps; -1 if below 0.
 
-    The test maps are those of ``group_level``, from ``level_probes``.
+    The test maps are those of ``group_level``, from ``level_probes``; the
+    images of target-side vectors (L, C) come off ``probe_images``.
     """
-    return probe_level(lambda comps: vec.apply_comps(list(comps), source),
-                       level_probes(source, target, vec.kind in ("R", "Mat")),
-                       source, filt)
+    if vec.kind in ("L", "C"):
+        pairs = probe_images(source, target, vec.comps)
+    else:
+        pairs = ((v, vec.apply_comps(list(v), source))
+                 for v in level_probes(source, target, True))
+    return probe_level(pairs, source, filt)
 
 
 # -- uniform comparison bounds ----------------------------------------------

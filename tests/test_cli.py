@@ -74,6 +74,14 @@ SING = (
     "map g = (x^2+x^3, 0)\n"
 )
 
+# SING with a target change, a source change and a contact element, each
+# keeping the ideal (u*v), for `log` on the singular target
+SING_LOG = SING + (
+    "aut A = (u+u^3, v+u*v^2)\n"
+    "aut P = (x+y^2, y+x*y)\n"
+    "contact Ct = (u+x^2*u+u^3, v+x*v+v^2)\n"
+)
+
 SMOOTH2 = (
     "field Q\n"
     "jet 3\n"
@@ -425,6 +433,17 @@ GOLDEN = [
     (SING, 0,
      "a5cfd0324e967a542773deb6e86d8547fc938f0f1eefda010b4eec78331e712e",
      "artin-rees --group C --map f --level 1"),
+    # logarithms and their vector levels on the singular target, recorded
+    # before the target-side probe images were read off a power table
+    (SING_LOG, 0,
+     "ccc820cc739e67f9e30b0726b3ce1bf74771625462d88a2ce50c2d1f10d7fd04",
+     "log --group L --elem A"),
+    (SING_LOG, 0,
+     "ccabbf8183452d81e40a45352905a13a4a568f47afe7badf5593fce1dd9bf34d",
+     "log --group C --elem Ct"),
+    (SING_LOG, 0,
+     "7b9b68c15d713ce885f41fbd56abc93bc9970ff0ade1757c5dfdcd790d803b38",
+     "log --group K --elem Ct,P"),
 ]
 
 

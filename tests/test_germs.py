@@ -19,12 +19,15 @@ from germ.germs import (
     extend_element,
     extend_map,
     extend_ring,
+    _is_singular,
     group_level,
     identity_element,
+    level_probes,
     product_ring,
     restrict_map,
 )
 from germ.jets import JetRing, filtration_make
+from germ.tangent import ContactVector, DerVector, TargetDerVector, vector_level
 
 Q = make_field("Q")
 
@@ -264,6 +267,14 @@ def test_action_axioms_hold_for_random_pairs(seed):
     l1 = LeftAut(Y, [Y.var("u") + _random_jet(rng, Y, 2)], validate=False)
     p1 = LRPair(l1, g1)
     assert p1.inverse().act(p1.act(f)) == f
+    # every group on every probe-set shape
+    for shape, tag in SHAPE_TAGS:
+        X, Y, _ = _shape(shape, Q)
+        f = MapGerm(X, Y, [X.from_expr(e) for e in AXIOM_MAPS[shape]])
+        g, h = _group_element(rng, tag, X, Y), _group_element(rng, tag, X, Y)
+        assert g.compose(h).act(f) == g.act(h.act(f)), (shape, tag)
+        assert g.inverse().act(g.act(f)) == f, (shape, tag)
+        assert g.compose(g.inverse()).is_identity(), (shape, tag)
 
 
 # -- group_level against the exhaustive per-probe action ---------------------
@@ -271,37 +282,51 @@ def test_action_axioms_hold_for_random_pairs(seed):
 QA = make_extension(Q, "a^2 - 2").top
 
 
-def _oracle_level(element, source, target, filt):
-    """The level by acting with ``element.act`` on every test map: single
-    monomials in one slot for R and Klin, otherwise every tuple of unit
-    monomials that respects the target ideal."""
+def _oracle_probes(source, target, linear):
+    """Single monomials in one slot when ``linear``, otherwise every tuple
+    of unit monomials that ``MapGerm`` validates against the target ideal."""
     units = [source.jet({mon: source.domain.one})
              for mon in source.monomials if sum(mon) > 0]
     units = [u for u in units if not u.is_zero()]
     m = target.nx
-    if element.tag in ("R", "Klin"):
-        probes = [tuple(u if i == slot else source.zero for i in range(m))
-                  for u in units for slot in range(m)]
-    else:
-        probes = []
-        for comps in itertools.product([source.zero] + units, repeat=m):
-            if all(c.is_zero() for c in comps):
-                continue
-            try:
-                MapGerm(source, target, comps)
-            except GermError:
-                continue
-            probes.append(comps)
-    level = source.order + (source.torder or 0)
-    for comps in probes:
-        moved = element.act(MapGerm(source, target, comps, validate=False))
-        diff = [a - b for a, b in zip(moved.components, comps)]
-        if all(d.is_zero() for d in diff):
+    if linear:
+        return [tuple(u if i == slot else source.zero for i in range(m))
+                for u in units for slot in range(m)]
+    probes = []
+    for comps in itertools.product([source.zero] + units, repeat=m):
+        if all(c.is_zero() for c in comps):
             continue
-        level = min(level, filt.order_of(diff) - filt.order_of(comps))
+        try:
+            MapGerm(source, target, comps)
+        except GermError:
+            continue
+        probes.append(comps)
+    return probes
+
+
+def _oracle_min_gain(images, source, filt):
+    """min of ord(out) - ord(v) over the pairs (v, out) with out nonzero,
+    capped by the jet range; -1 when it is below 0."""
+    level = source.order + (source.torder or 0)
+    for comps, out in images:
+        if all(d.is_zero() for d in out):
+            continue
+        level = min(level, filt.order_of(out) - filt.order_of(comps))
         if level < 0:
             return -1
     return level
+
+
+def _oracle_level(element, source, target, filt):
+    """The level by acting with ``element.act`` on every test map: single
+    monomials in one slot for R and Klin, otherwise every tuple of unit
+    monomials that respects the target ideal."""
+    def diff(comps):
+        moved = element.act(MapGerm(source, target, comps, validate=False))
+        return [a - b for a, b in zip(moved.components, comps)]
+
+    probes = _oracle_probes(source, target, element.tag in ("R", "Klin"))
+    return _oracle_min_gain(((v, diff(v)) for v in probes), source, filt)
 
 
 def _shape(name, F):
@@ -394,6 +419,52 @@ def _random_element(rng, tag, source, target):
     return ContactLinPair(source, target, matrix, right(), validate=False)
 
 
+AXIOM_MAPS = {
+    "line": ["x^2 + x^3"],
+    "plane": ["x^2 + y^3", "x*y"],
+    "family": ["x^2 + t*x"],
+    "singular": ["x^2 + y^3", "0"],
+    "quotient": ["x^2 + y^3"],
+}
+
+
+def _with_right(g, right):
+    """``g`` with its source change replaced by ``right``."""
+    if g.tag == "R":
+        return right
+    if g.tag == "LR":
+        return LRPair(g.left, right)
+    if g.tag == "K":
+        return ContactPair(g.contact, right)
+    return ContactLinPair(g.source, g.target, g.matrix, right, validate=False)
+
+
+def _group_element(rng, tag, source, target):
+    """A random element of ``_random_element`` with invertible linear parts
+    whose source change keeps the truncation and the source ideal.
+
+    x -> x + t does not keep the truncation of a family ring ((x+t)^4 has
+    terms in range), so such draws are skipped.  On a quotient source the
+    source change is exp(h * D) instead, D = dg/dy d/dx - dg/dx d/dy
+    killing the generator g and h of order >= 1.
+    """
+    while True:
+        g = _random_element(rng, tag, source, target)
+        right = g if tag == "R" else getattr(g, "right", None)
+        if right is not None and source.ideal_gens:
+            gen = source.ideal_gen_jets()[0]
+            dx, dy = (source.jet(gen.derivative(n).coeffs) for n in source.xvars)
+            h = _bump(rng, source, 1)
+            right = DerVector(source, [h * dy, -(h * dx)]).exp()
+            g = _with_right(g, right)
+        parts = list(g.factors()) + ([g.right] if tag == "Klin" else [])
+        if any(_is_singular(p.linear_part(), source.field) for p in parts):
+            continue
+        if right is None or all(sum(mon[:source.nx]) >= 1
+                                for c in right.comps for mon in c.coeffs):
+            return g
+
+
 def test_the_quotient_shape_has_a_probe_that_is_no_single_monomial():
     X, _, _ = _shape("quotient", Q)
     assert str(X.from_expr("x*y")) == "y^2+y^3"
@@ -417,6 +488,49 @@ def test_group_level_matches_the_exhaustive_action(shape, tag, F, rng, which):
     filt = filts[which % len(filts)]
     g = _random_element(rng, tag, X, Y)
     assert group_level(g, X, Y, filt) == _oracle_level(g, X, Y, filt)
+
+
+@pytest.mark.parametrize("shape", ["singular", "cusp", "singular-family"])
+def test_tuple_probes_are_the_tuples_that_map_germ_validates(shape):
+    if shape == "singular":
+        X, Y, _ = _shape("singular", Q)
+    elif shape == "cusp":
+        # u^2 = v^3, with probes that vanish on it only by truncation
+        X = JetRing(Q, ["x", "y"], 3)
+        Y = JetRing(Q, ["u", "v"], 3, ideal=[{(2, 0): Q.one, (0, 3): -Q.one}])
+    else:
+        # u*v = t*u^2 over a parameter
+        X = JetRing(Q, ["x", "y"], 2, tvars=["t"], torder=1)
+        Y = JetRing(Q, ["u", "v"], 2, tvars=["t"], torder=1,
+                    ideal=[{(1, 1, 0): Q.one, (2, 0, 1): -Q.one}])
+    probes = list(level_probes(X, Y, False))
+    assert probes == _oracle_probes(X, Y, False)
+    assert len(probes) < len(X.monomials) ** 2 - 1
+
+
+def _random_vector(rng, kind, source, target):
+    """A random L or C vector with every coefficient in the target
+    variables, so that it vanishes on the zero section."""
+    ring = target if kind == "L" else product_ring(source, target)
+    pos = [ring.var_index[n] for n in target.xvars]
+    comps = [_bump(rng, ring, rng.choice((1, 2, 3)), keep=lambda mon: any(mon[p] for p in pos))
+             for _ in target.xvars]
+    if kind == "L":
+        return TargetDerVector(target, comps)
+    return ContactVector(source, target, comps, joint=ring)
+
+
+@pytest.mark.parametrize("F", [Q, QA], ids=["Q", "Qsqrt2"])
+@pytest.mark.parametrize("shape", ["plane", "family", "singular"])
+@pytest.mark.parametrize("kind", ["L", "C"])
+@settings(derandomize=True, max_examples=4, deadline=None)
+@given(rng=st.randoms(use_true_random=False), which=st.integers(0, 1))
+def test_vector_level_matches_apply_comps_on_every_probe(kind, shape, F, rng, which):
+    X, Y, filts = _shape(shape, F)
+    filt = filts[which % len(filts)]
+    vec = _random_vector(rng, kind, X, Y)
+    images = ((v, vec.apply_comps(list(v), X)) for v in _oracle_probes(X, Y, False))
+    assert vector_level(vec, X, Y, filt) == _oracle_min_gain(images, X, filt)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -109,6 +109,27 @@ def test_substitution_rejects_constant_terms():
         R.from_expr("x^2").substitute({"x": R2.from_expr("1 + x")}, ring=R2)
 
 
+def test_power_table_checks_its_arguments_once():
+    R = JetRing(Q, ["x", "y"], 3, tvars=["t"], torder=1)
+    x, y, t = R.var("x"), R.var("y"), R.var("t")
+    # a variable without an argument is a JetError, not a TypeError from
+    # multiplying by the missing argument
+    table = PowerTable(R, [x + y, None, t])
+    assert table.image(R.from_expr("x^2 + x*t")) == (x + y) ** 2 + (x + y) * t
+    with pytest.raises(JetError, match="no substitution given for variable 'y'"):
+        table.image(R.from_expr("x*y"))
+    with pytest.raises(JetError, match="no substitution given for variable 'y'"):
+        table.power((0, 1, 0))
+    with pytest.raises(JetError, match="argument for 'x' has a constant term"):
+        PowerTable(R, [1 + x, y, t])
+    # ``at`` leaves every variable it is not given fixed, if the ring has it
+    R2 = JetRing(Q, ["x"], 3, tvars=["t"], torder=1)
+    at = PowerTable.at(R, R2, {"x": R2.from_expr("x + x^2"), "y": R2.from_expr("x*t")})
+    assert at.image(R.from_expr("x*t + y")) == R2.from_expr("x*t + x^2*t + x*t")
+    with pytest.raises(JetError, match="no substitution given for variable 'y'"):
+        PowerTable.at(R, R2, {"x": R2.var("x")}).image(R.var("y"))
+
+
 def test_quotient_ring_reduction():
     RQ = JetRing(Q, ["x"], 3, ideal=[{(2,): Q.one}])
     assert RQ.ideal_basis.rank == 2
