@@ -23,15 +23,15 @@ from .exactfield import FieldError, make_extension, make_field
 from .expr import ExprError, names_in, parse as parse_expr
 from .jets import Filtration, JetError, JetRing, filtration_make
 from .germs import (
+    GROUP_FACTORS,
     GROUP_TAGS,
     Contact,
-    ContactPair,
     GermError,
-    LRPair,
     LeftAut,
     MapGerm,
     RightAut,
     extend_ring,
+    from_factors,
     group_level,
     product_ring,
 )
@@ -178,7 +178,12 @@ class Session:
         """Group element from comma-separated session names."""
         names = [s.strip() for s in spec.split(",")]
 
-        def aut(name, side):
+        def factor(kind, name):
+            if kind == "C":
+                if name not in self.contacts:
+                    raise CLIError(f"no contact element named {name!r}")
+                return self.contacts[name]
+            side = "source" if kind == "R" else "target"
             if name not in self.auts:
                 raise CLIError(f"no coordinate change named {name!r}")
             if self.aut_sides[name] != side:
@@ -187,36 +192,16 @@ class Session:
                     f"a {side} one is needed here")
             return self.auts[name]
 
-        def contact(name):
-            if name not in self.contacts:
-                raise CLIError(f"no contact element named {name!r}")
-            return self.contacts[name]
-
-        if tag == "R":
-            if len(names) != 1:
-                raise CLIError("group R takes one source coordinate change")
-            return aut(names[0], "source")
-        if tag == "L":
-            if len(names) != 1:
-                raise CLIError("group L takes one target coordinate change")
-            return aut(names[0], "target")
-        if tag == "LR":
-            if len(names) != 2:
-                raise CLIError("group LR takes 'target_name,source_name'")
-            return LRPair(aut(names[0], "target"), aut(names[1], "source"))
-        if tag == "C":
-            if len(names) != 1:
-                raise CLIError("group C takes one contact element")
-            return contact(names[0])
-        if tag == "K":
-            if len(names) != 2:
-                raise CLIError("group K takes 'contact_name,source_name'")
-            return ContactPair(contact(names[0]), aut(names[1], "source"))
-        if tag == "Klin":
+        if tag not in GROUP_FACTORS:
+            raise CLIError(f"unknown group {tag!r}")
+        kinds = GROUP_FACTORS[tag]
+        if "Mat" in kinds:
             raise CLIError(
                 "matrix factors cannot be written in a session file; "
                 "use the library for Klin elements")
-        raise CLIError(f"unknown group {tag!r}")
+        if len(names) != len(kinds):
+            raise CLIError(_NAMED_USAGE[tag])
+        return from_factors([factor(k, n) for k, n in zip(kinds, names)])
 
     # -- canonical re-emission ----------------------------------------
 
@@ -526,6 +511,22 @@ def parse_session(text: str) -> Session:
     return sess
 
 
+_NAMED_USAGE = {
+    "R": "group R takes one source coordinate change",
+    "L": "group L takes one target coordinate change",
+    "LR": "group LR takes 'target_name,source_name'",
+    "C": "group C takes one contact element",
+    "K": "group K takes 'contact_name,source_name'",
+}
+_INLINE_USAGE = {
+    "R": "an R element is a single tuple",
+    "L": "an L element is a single tuple",
+    "LR": "an LR element is '(target tuple)|(source tuple)'",
+    "C": "a C element is a single tuple over both variable sets",
+    "K": "a K element is '(joint tuple)|(source tuple)'",
+}
+
+
 def _element_from_text(tag: str, text: str, source: JetRing, target: JetRing):
     """Inline group element: tuples separated by '|' for composite groups."""
     parts = [p.strip() for p in text.split("|")]
@@ -537,30 +538,20 @@ def _element_from_text(tag: str, text: str, source: JetRing, target: JetRing):
             raise CLIError(f"bad element tuple: {e}")
         return [ring.from_expr(t) for t in items]
 
-    if tag == "R":
-        if len(parts) != 1:
-            raise CLIError("an R element is a single tuple")
-        return RightAut(source, comps(parts[0], source))
-    if tag == "L":
-        if len(parts) != 1:
-            raise CLIError("an L element is a single tuple")
-        return LeftAut(target, comps(parts[0], target))
-    if tag == "LR":
-        if len(parts) != 2:
-            raise CLIError("an LR element is '(target tuple)|(source tuple)'")
-        return LRPair(LeftAut(target, comps(parts[0], target)),
-                      RightAut(source, comps(parts[1], source)))
-    joint = product_ring(source, target)
-    if tag == "C":
-        if len(parts) != 1:
-            raise CLIError("a C element is a single tuple over both variable sets")
-        return Contact(source, target, comps(parts[0], joint), joint=joint)
-    if tag == "K":
-        if len(parts) != 2:
-            raise CLIError("a K element is '(joint tuple)|(source tuple)'")
-        return ContactPair(Contact(source, target, comps(parts[0], joint), joint=joint),
-                           RightAut(source, comps(parts[1], source)))
-    raise CLIError(f"inline elements are not supported for group {tag!r}")
+    def factor(kind, part):
+        if kind == "R":
+            return RightAut(source, comps(part, source))
+        if kind == "L":
+            return LeftAut(target, comps(part, target))
+        joint = product_ring(source, target)
+        return Contact(source, target, comps(part, joint), joint=joint)
+
+    kinds = GROUP_FACTORS.get(tag, ())
+    if not kinds or "Mat" in kinds:
+        raise CLIError(f"inline elements are not supported for group {tag!r}")
+    if len(parts) != len(kinds):
+        raise CLIError(_INLINE_USAGE[tag])
+    return from_factors([factor(k, p) for k, p in zip(kinds, parts)])
 
 
 # -- subcommand handlers -------------------------------------------------

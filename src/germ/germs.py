@@ -7,11 +7,14 @@ their action applies directly:
 
 * right elements store a coordinate-change tuple Phi and act by f -> f(Phi);
 * left elements store a target tuple Psi and act by f -> Psi(f);
-* linear contact elements store an invertible matrix M over the source
-  ring (with an optional right part Phi) and act by f -> M * f(Phi);
-* full contact elements store a tuple C over the joint source-target ring
+* matrix elements store an invertible matrix M over the source ring and
+  act by f -> M * f;
+* contact elements store a tuple C over the joint source-target ring
   (zero on the target axis, invertible target-linear part) and act by
-  f -> C(x, f(Phi)).
+  f -> C(x, f);
+* the groups LR, Klin and K pair one of these target-side factors with a
+  right element and act by f -> outer(f(Phi)) (``Pair``); the factors of
+  every group are listed once, in ``GROUP_FACTORS``.
 
 Composition and inversion are arranged so that acting is a left action:
 (g . h).act(f) equals g.act(h.act(f)).  Inverses of substitution tuples
@@ -373,6 +376,10 @@ class LeftAut(GroupElement):
     def inverse(self) -> "LeftAut":
         return LeftAut(self.ring, self._inner.inverse().comps, validate=False)
 
+    def after(self, right: RightAut) -> "LeftAut":
+        """A target change does not see the source: itself."""
+        return self
+
     def is_identity(self) -> bool:
         return self._inner.is_identity()
 
@@ -386,59 +393,19 @@ class LeftAut(GroupElement):
         return f"<L {tuple(str(c) for c in self.comps)}>"
 
 
-class LRPair(GroupElement):
-    """Independent target and source changes, applied around the map."""
-
-    tag = "LR"
-
-    def __init__(self, left: LeftAut, right: RightAut):
-        self.left = left
-        self.right = right
-
-    def act(self, f: MapGerm) -> MapGerm:
-        return self.left.act(self.right.act(f))
-
-    def compose(self, other: "LRPair") -> "LRPair":
-        if not isinstance(other, LRPair):
-            raise GermError(f"cannot compose LR with {other.tag}")
-        return LRPair(self.left.compose(other.left), self.right.compose(other.right))
-
-    def inverse(self) -> "LRPair":
-        return LRPair(self.left.inverse(), self.right.inverse())
-
-    def is_identity(self) -> bool:
-        return self.left.is_identity() and self.right.is_identity()
-
-    def key(self):
-        return (self.left.key(), self.right.key())
-
-    def factors(self):
-        return [self.left, self.right]
-
-    def describe(self):
-        return {"group": "LR",
-                "target": self.left.describe()["target"],
-                "source": self.right.describe()["source"]}
-
-    def __repr__(self):
-        return f"<LR {self.left!r} {self.right!r}>"
-
-
-class ContactLinPair(GroupElement):
-    """Invertible matrix over the source ring with a source change.
+class JetMatrix(GroupElement):
+    """Invertible matrix over the source ring; acts by f -> M * f.
 
     Defined for maps into a smooth target: the matrix mixes components, so
     a target ideal would not be respected.
     """
 
-    tag = "Klin"
+    tag = "Mat"
 
-    def __init__(self, source: JetRing, target: JetRing, matrix,
-                 right: Optional[RightAut] = None, validate: bool = True):
+    def __init__(self, source: JetRing, target: JetRing, rows, validate: bool = True):
         self.source = source
         self.target = target
-        self.matrix = tuple(tuple(source.jet(e) for e in row) for row in matrix)
-        self.right = right if right is not None else RightAut.identity(source)
+        self.rows = tuple(tuple(source.jet(e) for e in row) for row in rows)
         if validate:
             self._validate()
 
@@ -446,60 +413,56 @@ class ContactLinPair(GroupElement):
         if self.target.ideal_gens:
             raise GermError("matrix contact equivalence needs a smooth target")
         m = self.target.nx
-        if len(self.matrix) != m or any(len(row) != m for row in self.matrix):
+        if len(self.rows) != m or any(len(row) != m for row in self.rows):
             raise GermError(f"matrix must be {m} by {m}")
         if _is_singular(self.linear_part(), self.source.field):
             raise GermError("matrix is singular at the base point")
 
     def linear_part(self):
         """The matrix at the base point."""
-        return [[e.constant_term() for e in row] for row in self.matrix]
+        return [[e.constant_term() for e in row] for row in self.rows]
 
     @classmethod
-    def identity(cls, source: JetRing, target: JetRing) -> "ContactLinPair":
+    def identity(cls, source: JetRing, target: JetRing) -> "JetMatrix":
         m = target.nx
-        mat = [[source.one if i == j else source.zero for j in range(m)] for i in range(m)]
-        return cls(source, target, mat, validate=False)
+        rows = [[source.one if i == j else source.zero for j in range(m)] for i in range(m)]
+        return cls(source, target, rows, validate=False)
 
     def act(self, f: MapGerm) -> MapGerm:
-        moved = self.right.act(f)
-        comps = matrix_apply(self.matrix, moved.components, self.source)
-        return MapGerm(f.source, f.target, comps, validate=False)
+        if f.source != self.source:
+            raise GermError("map and matrix live on different sources")
+        return MapGerm(f.source, f.target, matrix_apply(self.rows, f.components, self.source),
+                       validate=False)
 
-    def compose(self, other: "ContactLinPair") -> "ContactLinPair":
-        if not isinstance(other, ContactLinPair):
-            raise GermError(f"cannot compose Klin with {other.tag}")
-        # self.act(other.act(f)) = M1 . (M2 . f(Phi2))(Phi1) = (M1 (M2 o Phi1)) . f(Phi2 o Phi1)
-        moved = [[self.right.substitute_into(e) for e in row] for row in other.matrix]
-        return ContactLinPair(self.source, self.target,
-                              matrix_mul(self.matrix, moved, self.source),
-                              self.right.compose(other.right), validate=False)
+    def compose(self, other: "JetMatrix") -> "JetMatrix":
+        if not isinstance(other, JetMatrix):
+            raise GermError(f"cannot compose Mat with {other.tag}")
+        return JetMatrix(self.source, self.target, matrix_mul(self.rows, other.rows, self.source),
+                         validate=False)
 
-    def inverse(self) -> "ContactLinPair":
-        rinv = self.right.inverse()
-        moved = [[rinv.substitute_into(e) for e in row] for row in self.matrix]
-        return ContactLinPair(self.source, self.target,
-                              invert_matrix_jets(moved, self.source), rinv, validate=False)
+    def inverse(self) -> "JetMatrix":
+        return JetMatrix(self.source, self.target, invert_matrix_jets(self.rows, self.source),
+                         validate=False)
+
+    def after(self, right: RightAut) -> "JetMatrix":
+        """The matrix M(Phi(x)), Phi the source change ``right``."""
+        return JetMatrix(self.source, self.target,
+                         [[right.substitute_into(e) for e in row] for row in self.rows],
+                         validate=False)
 
     def is_identity(self) -> bool:
-        if not self.right.is_identity():
-            return False
-        for i, row in enumerate(self.matrix):
-            for j, e in enumerate(row):
-                if e != (self.source.one if i == j else self.source.zero):
-                    return False
-        return True
+        one, zero = self.source.one, self.source.zero
+        return all(e == (one if i == j else zero)
+                   for i, row in enumerate(self.rows) for j, e in enumerate(row))
 
     def key(self):
-        return (tuple(tuple(e.key() for e in row) for row in self.matrix), self.right.key())
+        return tuple(tuple(e.key() for e in row) for row in self.rows)
 
     def describe(self):
-        return {"group": "Klin",
-                "matrix": [[jet_to_json(e) for e in row] for row in self.matrix],
-                "source": self.right.describe()["source"]}
+        return {"group": "Mat", "matrix": [[jet_to_json(e) for e in row] for row in self.rows]}
 
     def __repr__(self):
-        return f"<Klin {len(self.matrix)}x{len(self.matrix)} {self.right!r}>"
+        return f"<Mat {len(self.rows)}x{len(self.rows)}>"
 
 
 class Contact(GroupElement):
@@ -548,9 +511,8 @@ class Contact(GroupElement):
                              dict(zip(self.target.xvars, self.comps))).image(q)
 
     @classmethod
-    def identity(cls, source: JetRing, target: JetRing,
-                 joint: Optional[JetRing] = None) -> "Contact":
-        joint = joint if joint is not None else product_ring(source, target)
+    def identity(cls, source: JetRing, target: JetRing) -> "Contact":
+        joint = product_ring(source, target)
         return cls(source, target, [joint.var(n) for n in target.xvars],
                    joint=joint, validate=False)
 
@@ -579,6 +541,14 @@ class Contact(GroupElement):
 
     inverse = fiber_inverse
 
+    def after(self, right: RightAut) -> "Contact":
+        """The contact tuple C(Phi(x), y), Phi the source change ``right``."""
+        joint = self.joint
+        table = PowerTable.at(joint, joint, {n: _reindex(c, joint)
+                                             for n, c in zip(self.source.xvars, right.comps)})
+        return Contact(self.source, self.target, [table.image(c) for c in self.comps],
+                       joint=joint, validate=False)
+
     def is_identity(self) -> bool:
         return all(c == self.joint.var(n) for n, c in zip(self.target.xvars, self.comps))
 
@@ -592,74 +562,101 @@ class Contact(GroupElement):
         return f"<C {tuple(str(c) for c in self.comps)}>"
 
 
-class ContactPair(GroupElement):
-    """A fiberwise target change together with a source change."""
+# The factor kinds of each group, the target-side one first; the pair groups
+# are ``Pair(outer, right)``.
+GROUP_FACTORS = {"R": ("R",), "L": ("L",), "LR": ("L", "R"),
+                 "C": ("C",), "K": ("C", "R"), "Klin": ("Mat", "R")}
+GROUP_TAGS = tuple(GROUP_FACTORS)
+_PAIR_TAGS = {kinds[0]: tag for tag, kinds in GROUP_FACTORS.items() if len(kinds) == 2}
 
-    tag = "K"
 
-    def __init__(self, contact: Contact, right: RightAut):
-        self.contact = contact
+class Pair(GroupElement):
+    """A target-side factor applied after a source change: f -> outer(f o Phi).
+
+    The outer factor is a ``LeftAut`` (group LR), a ``JetMatrix`` (Klin) or
+    a ``Contact`` (K); ``outer.after(Phi)`` is the factor moved by a source
+    change, so that one product law serves all three groups.
+    """
+
+    def __init__(self, outer: GroupElement, right: RightAut):
+        self.outer = outer
         self.right = right
+        self.tag = _PAIR_TAGS[outer.tag]
 
     def act(self, f: MapGerm) -> MapGerm:
-        return self.contact.act(self.right.act(f))
+        return self.outer.act(self.right.act(f))
 
-    def compose(self, other: "ContactPair") -> "ContactPair":
-        if not isinstance(other, ContactPair):
-            raise GermError(f"cannot compose K with {other.tag}")
-        # self.act(other.act(f)) = C1(x, C2(., f o Phi2 o .) o Phi1)
-        #                        = C'(x, f o Phi2 o Phi1) with C' = C1(x, C2(Phi1(x), y))
-        return ContactPair(self.contact.compose(_after_source_change(other.contact, self.right)),
-                           self.right.compose(other.right))
+    def compose(self, other: "Pair") -> "Pair":
+        if not isinstance(other, Pair) or other.tag != self.tag:
+            raise GermError(f"cannot compose {self.tag} with {other.tag}")
+        # self.act(other.act(f)) = o1(o2(f o Phi2) o Phi1) = (o1 . o2(Phi1))(f o Phi2 o Phi1)
+        return Pair(self.outer.compose(other.outer.after(self.right)),
+                    self.right.compose(other.right))
 
-    def inverse(self) -> "ContactPair":
+    def inverse(self) -> "Pair":
         rinv = self.right.inverse()
-        return ContactPair(_after_source_change(self.contact.fiber_inverse(), rinv), rinv)
+        return Pair(self.outer.inverse().after(rinv), rinv)
 
     def is_identity(self) -> bool:
-        return self.contact.is_identity() and self.right.is_identity()
+        return self.outer.is_identity() and self.right.is_identity()
 
     def key(self):
-        return (self.contact.key(), self.right.key())
+        return (self.outer.key(), self.right.key())
 
     def factors(self):
-        return [self.contact, self.right]
+        return [self.outer, self.right]
 
     def describe(self):
-        return {"group": "K",
-                "contact": self.contact.describe()["contact"],
-                "source": self.right.describe()["source"]}
+        out = self.outer.describe()
+        out.update(group=self.tag, source=self.right.describe()["source"])
+        return out
 
     def __repr__(self):
-        return f"<K {self.contact!r} {self.right!r}>"
+        return f"<{self.tag} {self.outer!r} {self.right!r}>"
 
 
-def _after_source_change(contact: Contact, right: RightAut) -> Contact:
-    """The contact tuple C(Phi(x), y), Phi the source change ``right``."""
-    joint = contact.joint
-    table = PowerTable.at(joint, joint, {n: _reindex(c, joint)
-                                         for n, c in zip(contact.source.xvars, right.comps)})
-    return Contact(contact.source, contact.target, [table.image(c) for c in contact.comps],
-                   joint=joint, validate=False)
+class LRPair(Pair):
+    """The LR constructor of earlier releases, ``LRPair(left, right)``."""
 
 
-GROUP_TAGS = ("R", "L", "LR", "C", "K", "Klin")
+class ContactLinPair(Pair):
+    """The Klin constructor of earlier releases: a matrix, with the identity
+    source change when ``right`` is None."""
+
+    def __init__(self, source: JetRing, target: JetRing, matrix,
+                 right: Optional[RightAut] = None, validate: bool = True):
+        super().__init__(JetMatrix(source, target, matrix, validate=validate),
+                         right if right is not None else RightAut.identity(source))
+
+    @classmethod
+    def identity(cls, source: JetRing, target: JetRing) -> "ContactLinPair":
+        return cls(source, target, JetMatrix.identity(source, target).rows, validate=False)
+
+    @property
+    def matrix(self):
+        return self.outer.rows
+
+
+def factor_identity(kind: str, source: JetRing, target: JetRing) -> GroupElement:
+    """The identity of one factor kind of ``GROUP_FACTORS``."""
+    if kind == "R":
+        return RightAut.identity(source)
+    if kind == "L":
+        return LeftAut.identity(target)
+    if kind == "Mat":
+        return JetMatrix.identity(source, target)
+    return Contact.identity(source, target)
+
+
+def from_factors(parts: Sequence[GroupElement]) -> GroupElement:
+    """The element with the given factors: a bare factor, or a ``Pair``."""
+    return Pair(*parts) if len(parts) == 2 else parts[0]
 
 
 def identity_element(tag: str, source: JetRing, target: JetRing) -> GroupElement:
-    if tag == "R":
-        return RightAut.identity(source)
-    if tag == "L":
-        return LeftAut.identity(target)
-    if tag == "LR":
-        return LRPair(LeftAut.identity(target), RightAut.identity(source))
-    if tag == "C":
-        return Contact.identity(source, target)
-    if tag == "K":
-        return ContactPair(Contact.identity(source, target), RightAut.identity(source))
-    if tag == "Klin":
-        return ContactLinPair.identity(source, target)
-    raise GermError(f"unknown group {tag!r}")
+    if tag not in GROUP_FACTORS:
+        raise GermError(f"unknown group {tag!r}")
+    return from_factors([factor_identity(k, source, target) for k in GROUP_FACTORS[tag]])
 
 
 # -- group levels -----------------------------------------------------------
@@ -816,12 +813,10 @@ def group_level(element: GroupElement, source: JetRing, target: JetRing,
     element fails even the level-0 bound, which can happen for
     non-standard filtrations.
     """
-    tag = element.tag
-    right = element if tag == "R" else getattr(element, "right", None)
-    outer = (element if tag in ("L", "C")
-             else getattr(element, "left", None) or getattr(element, "contact", None))
-    images = probe_images(source, target, None if outer is None else outer.comps, right,
-                          element.matrix if tag == "Klin" else None)
+    parts = {part.tag: part for part in element.factors()}
+    outer = parts.get("L") or parts.get("C")
+    images = probe_images(source, target, outer and outer.comps, parts.get("R"),
+                          parts["Mat"].rows if "Mat" in parts else None)
     return probe_level(((v, [a - b for a, b in zip(img, v)]) for v, img in images),
                        source, filt)
 
@@ -883,19 +878,16 @@ def map_jets(element: GroupElement, fn, source: Optional[JetRing] = None,
         if isinstance(el, LeftAut):
             ring = target or el.ring
             return LeftAut(ring, [fn(c, ring) for c in el.comps], validate=False)
-        if isinstance(el, LRPair):
-            return LRPair(walk(el.left), walk(el.right))
-        if isinstance(el, ContactLinPair):
+        if isinstance(el, Pair):
+            return Pair(walk(el.outer), walk(el.right))
+        if isinstance(el, JetMatrix):
             ring = source or el.source
-            return ContactLinPair(ring, target or el.target,
-                                  [[fn(e, ring) for e in row] for row in el.matrix],
-                                  walk(el.right), validate=False)
+            return JetMatrix(ring, target or el.target,
+                             [[fn(e, ring) for e in row] for row in el.rows], validate=False)
         if isinstance(el, Contact):
             joint = el.joint if source is None else product_ring(source, target)
             return Contact(source or el.source, target or el.target,
                            [fn(c, joint) for c in el.comps], joint=joint, validate=False)
-        if isinstance(el, ContactPair):
-            return ContactPair(walk(el.contact), walk(el.right))
         raise GermError(f"cannot map the jets of {el.tag}")
 
     return walk(element)

@@ -37,6 +37,17 @@ def _mon_divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
+def mon_str(names, mon) -> str:
+    """The monomial with exponents ``mon`` in ``names``, as x*y^2 (1 if constant)."""
+    parts = []
+    for name, e in zip(names, mon):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts) if parts else "1"
+
+
 class JetRing:
     """Variables, truncation orders, and an optional ideal.
 
@@ -231,13 +242,7 @@ class JetRing:
         return hash((self.field, self.variables, self.order, self.torder, len(self.ideal_gens)))
 
     def mon_str(self, mon) -> str:
-        parts = []
-        for name, e in zip(self.variables, mon):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return mon_str(self.variables, mon)
 
     def raw(self) -> "JetRing":
         """The same ring without the ideal (for handling generators as data)."""
@@ -309,7 +314,7 @@ class Jet:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, FieldElem)) or type(other).__name__ == "Poly":
+        if isinstance(other, (int, FieldElem)):
             return self.scale(other)
         other = self._check(other)
         if other is None:

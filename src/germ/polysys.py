@@ -23,10 +23,11 @@ from .exactfield import (
     Field, FieldElem, Rationals, PrimeField, ExtensionField, Extension,
 )
 from . import expr
-from .jets import Jet, JetRing, Filtration, filtration_make
+from .jets import Jet, JetRing, Filtration, filtration_make, _mon_divides, mon_str
 from .germs import (
-    MapGerm, RightAut, LeftAut, LRPair, ContactLinPair, Contact, ContactPair,
-    GermError, product_ring, extend_ring, extend_map, restrict_map, level_probes,
+    GROUP_FACTORS, MapGerm, RightAut, LeftAut, JetMatrix, Contact, Pair, GermError,
+    identity_element, from_factors, product_ring, extend_ring, extend_map, restrict_map,
+    level_probes,
 )
 from .descent import verify_witness
 
@@ -99,13 +100,7 @@ class PolyRing:
         return value
 
     def mon_str(self, mon) -> str:
-        parts = []
-        for name, e in zip(self.names, mon):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return mon_str(self.names, mon)
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and other.field == self.field
@@ -321,14 +316,8 @@ def system_from_json(data: dict, field: Field) -> PolySystem:
 
 # -- compilation -------------------------------------------------------------
 
-_FACTORS = {
-    "R": ("right",),
-    "L": ("left",),
-    "LR": ("left", "right"),
-    "Klin": ("mat", "right"),
-    "C": ("contact",),
-    "K": ("contact", "right"),
-}
+# the name of each factor kind in a compiled system's provenance
+_FACTORS = {"R": "right", "L": "left", "Mat": "mat", "C": "contact"}
 
 
 def _domain_twin(ring: JetRing, dom: PolyRing) -> JetRing:
@@ -360,8 +349,7 @@ def _det(entries, ring: PolyRing) -> Poly:
 def _factor_elements(factors, source: JetRing, target: JetRing,
                      joint: Optional[JetRing], coeff, validate: bool = True) -> dict:
     """The group factor of each part, with ``coeff(name)`` at every unknown's
-    (name, position, monomial); the Klin matrix as a ContactLinPair with
-    identity source change."""
+    (name, position, monomial)."""
     out = {}
     for part, entries in factors.items():
         if part == "mat":
@@ -369,7 +357,7 @@ def _factor_elements(factors, source: JetRing, target: JetRing,
             rows = [[{} for _ in range(m)] for _ in range(m)]
             for name, (i, l), mon in entries:
                 rows[i][l][mon] = coeff(name)
-            out[part] = ContactLinPair(source, target, rows, validate=validate)
+            out[part] = JetMatrix(source, target, rows, validate=validate)
             continue
         comps = [{} for _ in range(source.nx if part == "right" else target.nx)]
         for name, i, mon in entries:
@@ -392,18 +380,18 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
     With ``level`` > 0, congruence equations confine the element to the
     level subgroup of the filtration (madic by default).
     """
-    if tag not in _FACTORS:
+    if tag not in GROUP_FACTORS:
         raise PolyError(f"unknown group {tag!r}")
     if f.source != f_tilde.source or f.target != f_tilde.target:
         raise PolyError("the two maps must share source and target")
     source, target = f.source, f.target
     field = source.field
-    if tag == "Klin" and target.ideal_gens:
+    parts = [_FACTORS[kind] for kind in GROUP_FACTORS[tag]]
+    if "mat" in parts and target.ideal_gens:
         raise PolyError("matrix contact equivalence needs a smooth target")
     if level > 0 and filt is None:
         filt = filtration_make(source, "madic")
 
-    parts = _FACTORS[tag]
     names = []
     factors = {}
     joint_k = product_ring(source, target) if "contact" in parts else None
@@ -515,13 +503,9 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
     # confinement to the level subgroup: acting on every test map must
     # raise its filtration order by at least the level
     if level > 0:
-        if outer is None or right is None:
-            whole = outer or right
-        elif tag == "Klin":
-            whole = ContactLinPair(S_source, S_target, outer.matrix, right, validate=False)
-        else:
-            whole = (LRPair if tag == "LR" else ContactPair)(outer, right)
-        for v in level_probes(source, target, tag in ("R", "Klin")):
+        whole = from_factors([elements[part] for part in parts])
+        linear = "left" not in parts and "contact" not in parts
+        for v in level_probes(source, target, linear):
             d = filt.order_of(v)
             if d == float("inf"):
                 continue
@@ -608,26 +592,12 @@ def assemble_witness(system: PolySystem, solution: dict):
         return v
 
     built = _factor_elements(lay["factors"], source, target, lay["joint"], value)
-    if tag == "R":
-        witness = built["right"].inverse()
-    elif tag == "L":
-        witness = built["left"]
-    elif tag == "LR":
-        A = LRPair(built["left"], RightAut.identity(source))
-        B = LRPair(LeftAut.identity(target), built["right"])
-        witness = B.inverse().compose(A)
-    elif tag == "Klin":
-        B = ContactLinPair(source, target,
-                           ContactLinPair.identity(source, target).matrix,
-                           built["right"], validate=False)
-        witness = B.inverse().compose(built["mat"])
-    elif tag == "C":
-        witness = built["contact"]
-    else:
-        A = ContactPair(built["contact"], RightAut.identity(source))
-        B = ContactPair(Contact.identity(source, target, joint=lay["joint"]),
-                        built["right"])
-        witness = B.inverse().compose(A)
+    # the system says outer(f) = f_tilde(Phi), so Phi^-1 after outer carries
+    # f to f_tilde; each side is the group's element with identity elsewhere
+    ident = identity_element(tag, source, target).factors()
+    outer = from_factors([i if i.tag == "R" else built[_FACTORS[i.tag]] for i in ident])
+    source_change = from_factors([built["right"] if i.tag == "R" else i for i in ident])
+    witness = source_change.inverse().compose(outer)
     return witness, verify_witness(witness, f, ft)
 
 
@@ -700,10 +670,6 @@ def brute_solve(system: PolySystem, field: Optional[Field] = None,
 
 
 # -- Groebner bases ----------------------------------------------------------
-
-def _mon_divides(a, b) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
 
 def _mon_div(a, b):
     return tuple(x - y for x, y in zip(a, b))
@@ -888,7 +854,7 @@ def _factor(part: str, source: JetRing, target: JetRing):
         return (source, [source.one if i == j else source.zero
                          for i in range(m) for j in range(m)],
                 list(source.monomials),
-                lambda jets, validate: ContactLinPair(
+                lambda jets, validate: JetMatrix(
                     source, target, [jets[i * m: (i + 1) * m] for i in range(m)],
                     validate=validate))
     joint = product_ring(source, target)
@@ -920,27 +886,20 @@ def _enumerate_factor(part: str, source: JetRing, target: JetRing, cap: int):
     return out
 
 
-def _pair(tag: str, outer, right: RightAut):
-    if tag == "LR":
-        return LRPair(outer, right)
-    if tag == "K":
-        return ContactPair(outer, right)
-    return ContactLinPair(outer.source, outer.target, outer.matrix, right, validate=False)
-
-
 def enumerate_group(tag: str, source: JetRing, target: JetRing, cap: int = 10 ** 7):
     """Every element of the jet group over a finite field, within the cap."""
     if not source.field.is_finite():
         raise PolyError("group enumeration needs a finite field")
-    if tag not in _FACTORS:
+    if tag not in GROUP_FACTORS:
         raise PolyError(f"unknown group {tag!r}")
-    parts = [_enumerate_factor(part, source, target, cap) for part in _FACTORS[tag]]
+    parts = [_enumerate_factor(_FACTORS[kind], source, target, cap)
+             for kind in GROUP_FACTORS[tag]]
     if len(parts) == 1:
         return parts[0]
     outers, rights = parts
     if len(outers) * len(rights) > cap:
         raise PolyError("group enumeration exceeds the cap")
-    return [_pair(tag, a, b) for a in outers for b in rights]
+    return [Pair(a, b) for a in outers for b in rights]
 
 
 def _factor_generators(part: str, source: JetRing, target: JetRing):
@@ -1002,8 +961,8 @@ def _census_generators(tag: str, source: JetRing, target: JetRing, cap: int):
     """
     if source.ideal_gens or target.ideal_gens or source.tvars or target.tvars:
         return enumerate_group(tag, source, target, cap), False
-    return [g for part in _FACTORS[tag]
-            for g in _factor_generators(part, source, target)], True
+    return [g for kind in GROUP_FACTORS[tag]
+            for g in _factor_generators(_FACTORS[kind], source, target)], True
 
 
 def _map_key(f: MapGerm):
@@ -1056,7 +1015,7 @@ def orbit_split(tag: str, f: MapGerm, ext: Extension, cap: int = 10 ** 7) -> Orb
         raise PolyError("orbit splitting needs finite fields on both levels")
     if ext.base != field:
         raise PolyError("extension must start at the map's field")
-    if tag not in _FACTORS:
+    if tag not in GROUP_FACTORS:
         raise PolyError(f"unknown group {tag!r}")
     actions = 0
 

@@ -30,11 +30,11 @@ from typing import Optional, Sequence
 
 from .jets import (
     Jet, JetRing, Filtration, PowerTable, VectorContext, SubspaceBasis,
-    ideal_span, nullspace, solve_columns,
+    ideal_span, nullspace, solve_columns, _mon_mul,
 )
 from .germs import (
-    MapGerm, GroupElement, RightAut, LeftAut, LRPair, Contact, ContactPair,
-    ContactLinPair, product_ring, matrix_apply, matrix_mul, level_probes,
+    GROUP_FACTORS, MapGerm, GroupElement, RightAut, LeftAut, JetMatrix, Contact, Pair,
+    factor_identity, from_factors, product_ring, matrix_apply, matrix_mul, level_probes,
     probe_images, probe_level, _reindex,
 )
 
@@ -185,7 +185,7 @@ class MatVector(TangentVector):
     def is_zero(self):
         return all(e.is_zero() for row in self.rows for e in row)
 
-    def exp(self) -> ContactLinPair:
+    def exp(self) -> JetMatrix:
         m = len(self.rows)
         ring = self.source
         total = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
@@ -195,7 +195,7 @@ class MatVector(TangentVector):
             k_fact *= k
             power = matrix_mul(power, [list(r) for r in self.rows], ring)
             if all(e.is_zero() for row in power for e in row):
-                return ContactLinPair(self.source, self.target, total, validate=False)
+                return JetMatrix(self.source, self.target, total, validate=False)
             inv = _series_scalar(ring.field, k_fact)
             if inv is None:
                 raise TangentError(_FACTORIAL_MSG.format(p=ring.field.char, k=k))
@@ -294,21 +294,15 @@ def log_element(element: GroupElement) -> dict:
     if isinstance(element, LeftAut):
         comps = _operator_log(element.ring, element.ring.xvars, element.comps)
         return {"L": TargetDerVector(element.ring, comps)}
-    if isinstance(element, LRPair):
-        out = log_element(element.left)
-        out.update(log_element(element.right))
-        return out
-    if isinstance(element, ContactLinPair):
-        out = log_element(element.right)
-        out["Mat"] = MatVector(element.source, element.target,
-                               _matrix_log(element.matrix, element.source))
-        return out
+    if isinstance(element, JetMatrix):
+        return {"Mat": MatVector(element.source, element.target,
+                                 _matrix_log(element.rows, element.source))}
     if isinstance(element, Contact):
         comps = _operator_log(element.joint, element.target.xvars, element.comps)
         return {"C": ContactVector(element.source, element.target, comps,
                                    joint=element.joint)}
-    if isinstance(element, ContactPair):
-        out = log_element(element.contact)
+    if isinstance(element, Pair):
+        out = log_element(element.outer)
         out.update(log_element(element.right))
         return out
     raise TangentError(f"cannot take log of {element.tag}")
@@ -337,32 +331,14 @@ def exp_combination(tag: str, parts: dict, source: JetRing,
                     target: JetRing) -> GroupElement:
     """The group element with the given kind-wise tangent parts.
 
-    Missing kinds default to the identity; the element is assembled as the
-    natural pair, matching how composite groups act.
+    Missing kinds default to the identity factor; the factors are assembled
+    as the group's element, matching how composite groups act.
     """
-    right = parts["R"].exp() if "R" in parts and not parts["R"].is_zero() \
-        else RightAut.identity(source)
-    if tag == "R":
-        return right
-    if tag == "L":
-        return parts["L"].exp() if "L" in parts else LeftAut.identity(target)
-    if tag == "LR":
-        left = parts["L"].exp() if "L" in parts and not parts["L"].is_zero() \
-            else LeftAut.identity(target)
-        return LRPair(left, right)
-    if tag == "Klin":
-        if "Mat" in parts and not parts["Mat"].is_zero():
-            mat = parts["Mat"].exp().matrix
-        else:
-            mat = ContactLinPair.identity(source, target).matrix
-        return ContactLinPair(source, target, mat, right, validate=False)
-    if tag == "C":
-        return parts["C"].exp() if "C" in parts else Contact.identity(source, target)
-    if tag == "K":
-        contact = parts["C"].exp() if "C" in parts and not parts["C"].is_zero() \
-            else Contact.identity(source, target)
-        return ContactPair(contact, right)
-    raise TangentError(f"unknown group {tag!r}")
+    if tag not in GROUP_FACTORS:
+        raise TangentError(f"unknown group {tag!r}")
+    return from_factors([parts[k].exp() if k in parts and not parts[k].is_zero()
+                         else factor_identity(k, source, target)
+                         for k in GROUP_FACTORS[tag]])
 
 
 # -- log conditions for ideal-carrying presentations ------------------------
@@ -422,10 +398,6 @@ def _log_images(vec: _Derivation, gens):
 
 # -- candidate generation with levels ---------------------------------------
 
-def _mon_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def _least_gain(source: JetRing, filt: Filtration, pairs) -> float:
     """min of ord(pi) - d over the pairs (pi, d) with pi in range; inf if none."""
     return min((filt.mon_order(pi) - d for pi, d in pairs if source._in_range(pi)),
@@ -469,7 +441,7 @@ def _candidates(kind: str, source: JetRing, target: JetRing,
     elif kind == "Mat":
         m = target.nx
         for alpha in source.monomials:
-            level = _least_gain(source, filt, ((_mon_add(alpha, nu), d) for d in depths
+            level = _least_gain(source, filt, ((_mon_mul(alpha, nu), d) for d in depths
                                                for nu in filt.level_set(d)))
             entry = source.jet({alpha: source.domain.one})
             for i in range(m):
@@ -490,21 +462,11 @@ def _candidates(kind: str, source: JetRing, target: JetRing,
                 continue  # a contact part must vanish on the zero section
             base = tuple(w[:nsrc]) + (0,) * (source.nx - nsrc) + tuple(w[nsrc + m:])
             level = _least_gain(source, filt, (
-                (_mon_add(base, nu), d) for d in depths
+                (_mon_mul(base, nu), d) for d in depths
                 for nu in (filt.product_set(e, d) if e >= 1 else (source.unit_mon,))))
             jet = ring.jet({w: ring.domain.one})
             out.extend((level, vec) for vec in _slots(kind, jet, m, source, target, joint))
     return out
-
-
-_TAG_KINDS = {
-    "R": ("R",),
-    "L": ("L",),
-    "LR": ("L", "R"),
-    "C": ("C",),
-    "K": ("C", "R"),
-    "Klin": ("Mat", "R"),
-}
 
 
 class TangentFrame:
@@ -578,15 +540,16 @@ def _frames(tag: str, f: MapGerm, filt: Filtration, levels) -> list:
     candidates under the linear side conditions, solved per frame, and
     their images the same combinations of the candidate images.
     """
-    if tag not in _TAG_KINDS:
+    if tag not in GROUP_FACTORS:
         raise TangentError(f"unknown group {tag!r}")
     least = min(levels)
     if least < 0:
         raise TangentError("level must be non-negative")
     source, target = f.source, f.target
-    if tag == "Klin" and target.ideal_gens:
+    kinds = GROUP_FACTORS[tag]
+    if "Mat" in kinds and target.ideal_gens:
         raise TangentError("matrix contact equivalence needs a smooth target")
-    joint = product_ring(source, target) if "C" in _TAG_KINDS[tag] else None
+    joint = product_ring(source, target) if "C" in kinds else None
     ctx = f.context()
     field = source.field
 
@@ -594,7 +557,7 @@ def _frames(tag: str, f: MapGerm, filt: Filtration, levels) -> list:
         return j == 0 or level >= j
 
     pool = {}  # kind -> [(level, vector, image, side-condition column)]
-    for kind in _TAG_KINDS[tag]:
+    for kind in kinds:
         gens = () if kind == "Mat" else (source if kind == "R" else target).ideal_gen_jets()
         pool[kind] = [(level, vec, ctx.to_vec(tuple(vec.apply(f))),
                        _log_images(vec, gens) if gens else None)

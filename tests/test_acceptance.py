@@ -14,10 +14,10 @@ from germ.jets import (
     JetRing, VectorContext, SubspaceBasis, filtration_make, membership,
 )
 from germ.germs import (
-    ContactLinPair,
+    JetMatrix,
     LeftAut,
-    LRPair,
     MapGerm,
+    Pair,
     RightAut,
     extend_element,
     extend_jet,
@@ -169,8 +169,8 @@ def _irrational_stabilizer(tag, RK, TK, order, gen_jet):
     if tag == "R":
         return sigma
     if tag == "LR":
-        return LRPair(LeftAut.identity(TK), sigma)
-    return ContactLinPair(RK, TK, ContactLinPair.identity(RK, TK).matrix, sigma)
+        return Pair(LeftAut.identity(TK), sigma)
+    return Pair(JetMatrix.identity(RK, TK), sigma)
 
 
 def test_03_extension_witnesses_descend_for_every_group():

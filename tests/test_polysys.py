@@ -10,12 +10,10 @@ from hypothesis import given, settings, strategies as st
 from germ.exactfield import is_pth_power, make_extension, make_field
 from germ.jets import JetRing, filtration_make
 from germ.germs import (
-    ContactLinPair,
-    ContactPair,
-    LRPair,
     MapGerm,
     extend_map,
     extend_ring,
+    from_factors,
     group_level,
     identity_element,
     restrict_map,
@@ -313,15 +311,9 @@ def test_orbit_census_cap_counts_group_actions():
 
 
 def _as_element(tag, g, source, target):
-    """A factor's generator as the pair with the other factor's identity."""
-    if g.tag == tag:
-        return g
-    one = identity_element(tag, source, target)
-    if tag == "LR":
-        return LRPair(g, one.right) if g.tag == "L" else LRPair(one.left, g)
-    if tag == "K":
-        return ContactPair(g, one.right) if g.tag == "C" else ContactPair(one.contact, g)
-    return ContactLinPair(source, target, one.matrix, g, validate=False)
+    """A factor's generator as the group element with the other factor's identity."""
+    return from_factors([g if one.tag == g.tag else one
+                         for one in identity_element(tag, source, target).factors()])
 
 
 F4_SHAPE = (JetRing(EXT4.top, ["x"], 2), JetRing(EXT4.top, ["y"], 2))

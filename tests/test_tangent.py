@@ -5,7 +5,7 @@ import pytest
 
 from germ.exactfield import make_field
 from germ.germs import (
-    ContactLinPair,
+    JetMatrix,
     MapGerm,
     RightAut,
     product_ring,
@@ -235,7 +235,7 @@ def test_exp_combination_assembles_pairs():
          "R": DerVector(X3, [X3.from_expr("x^2")])},
         X3, YT3)
     assert ec.tag == "LR"
-    assert str(ec.left.comps[0]) == "y+y^2+y^3"
+    assert str(ec.outer.comps[0]) == "y+y^2+y^3"
     assert str(ec.right.comps[0]) == "x+x^2+x^3"
 
 
@@ -245,7 +245,7 @@ def test_matrix_log_recovers_the_matrix_vector():
     rows = [[X.from_expr("x^2"), X.zero], [X.from_expr("x^3"), X.zero]]
     mv = MatVector(X, Y2, rows)
     kl = mv.exp()
-    assert isinstance(kl, ContactLinPair)
+    assert isinstance(kl, JetMatrix)
     parts = log_element(kl)
     assert "Mat" in parts
     back = parts["Mat"]
