@@ -25,14 +25,22 @@ helpers (``poly_*``) works on tuples of raw reps over any such field; it
 serves extension fields, minimal-polynomial parsing, the irreducibility
 test, and over ``PrimeField(p)`` the rational function fields.
 
-Minimal polynomials are checked for irreducibility: over the rationals via
-sympy, over finite fields by Rabin's test.  Degrees above 8 are rejected —
-the whole library is sized for exact desk-scale work.
+Minimal polynomials are checked for irreducibility: over finite fields by
+Rabin's test, over the rationals by Zassenhaus's big-prime test (factor
+modulo a prime above twice the leading coefficient times a Landau–Mignotte
+bound, then try every product of modular factors of at most half the
+degree as an integer factor).  Primes are certified by deterministic
+Miller–Rabin, exact below ``PRIME_LIMIT`` = 3.3·10^24; prime fields at or
+above it are refused, and a test prime above it is certified by
+Pocklington's theorem.  Degrees above 8 are rejected — the whole library is
+sized for exact desk-scale work.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import random
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Optional, Union
@@ -61,8 +69,52 @@ def _prime_factors(n: int) -> list:
     return out
 
 
+# Miller–Rabin to these bases is exact below 3,317,044,064,679,887,385,961,981,
+# the least strong pseudoprime to all of them
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 33 * 10**23
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and _prime_factors(n) == [n]
+    """Whether n is prime, by Miller–Rabin to the bases 2..41; exact for
+    n < PRIME_LIMIT."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime_above(n: int) -> int:
+    """A prime p > n: the least one while Miller–Rabin is exact.  Above
+    that, p = 2hq + 1 for a prime q with q^2 > p, which Pocklington's theorem
+    proves prime when 2^(p-1) = 1 mod p and gcd(2^(2h) - 1, p) = 1."""
+    if 2 * n < PRIME_LIMIT:  # Bertrand: (n, 2n] holds a prime
+        p = n + 1
+        while not _is_prime(p):
+            p += 1
+        return p
+    q = _prime_above(math.isqrt(2 * n))
+    h = n // (2 * q) + 1
+    while True:
+        p = 2 * h * q + 1
+        if q * q > p and pow(2, p - 1, p) == 1 and math.gcd(pow(2, 2 * h, p) - 1, p) == 1:
+            return p
+        h += 1
 
 
 class FieldElem:
@@ -282,6 +334,8 @@ class PrimeField(Field):
     _one = 1
 
     def __init__(self, p: int):
+        if p >= PRIME_LIMIT:
+            raise FieldError(f"prime fields need p < 3.3e24, got {p}")
         if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.char = p
@@ -424,6 +478,11 @@ def poly_powmod(a, n: int, m, F: Field) -> tuple:
         a = poly_divmod(poly_mul(a, a, F), m, F)[1]
         n >>= 1
     return result
+
+
+def poly_deriv(a, F: Field) -> tuple:
+    """The formal derivative of a."""
+    return poly_trim([F._mul(F.from_int(i).rep, c) for i, c in enumerate(a)][1:], F)
 
 
 def _poly_fmt(coeffs, var: str, F: Field) -> str:
@@ -585,12 +644,10 @@ class FunctionField(Field):
     """Rational functions F_p(s), reduced with monic denominator."""
 
     def __init__(self, p: int, var: str):
-        if not _is_prime(p):
-            raise FieldError(f"{p} is not prime")
+        self._fp = PrimeField(p)
         self.char = p
         self.p = p
         self.var = var
-        self._fp = PrimeField(p)
         self._zero = ((), (1,))
         self._one = ((1,), (1,))
 
@@ -670,14 +727,7 @@ def _is_irreducible(minpoly: tuple, base: Field) -> bool:
     if deg == 1:
         return True
     if isinstance(base, Rationals):
-        import sympy
-
-        x = sympy.Symbol("x")
-        poly = sum(
-            sympy.Rational(c.numerator, c.denominator) * x**i
-            for i, c in enumerate(minpoly)
-        )
-        return sympy.Poly(poly, x, domain="QQ").is_irreducible
+        return _is_irreducible_over_q(minpoly)
     if base.is_finite():
         # Rabin's test: a monic f of degree d over F_q is irreducible iff
         # x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1 for every prime
@@ -696,6 +746,94 @@ def _is_irreducible(minpoly: tuple, base: Field) -> bool:
                     return False
         return True
     raise FieldError(f"cannot test irreducibility over {base}")
+
+
+def _is_irreducible_over_q(minpoly: tuple) -> bool:
+    """Zassenhaus's big-prime test for a monic minpoly over Q of degree d >= 2.
+
+    Let F in Z[x] be minpoly with its denominators cleared, primitive, with
+    leading coefficient c.  Every factor G of F in Z[x] of degree < d has
+    coefficients |g_j| <= C(deg G, j) M(G) <= B = C(d-1, (d-1)//2)(|F|_2 + 1),
+    as M(G) <= M(F) <= |F|_2 (Mignotte, Landau).  Modulo a prime p > 2cB with
+    F mod p squarefree, F = c f_1...f_r with distinct monic irreducible f_i,
+    and (c / lc G) G, of coefficients at most cB < p/2, is the symmetric lift
+    of c times the product of some of the f_i.  So F is reducible exactly
+    when, for some f_i of total degree <= d/2, the primitive part of that
+    lift divides F.
+    """
+    Q = Rationals()
+    if len(poly_gcd(minpoly, poly_deriv(minpoly, Q), Q)) > 1:
+        return False  # a repeated factor
+    d = len(minpoly) - 1
+    den = math.lcm(*(c.denominator for c in minpoly))
+    ints = [c.numerator * (den // c.denominator) for c in minpoly]
+    content = math.gcd(*ints)
+    F = [c // content for c in ints]
+    lc = F[-1]
+    bound = math.comb(d - 1, (d - 1) // 2) * (math.isqrt(sum(c * c for c in F)) + 1)
+    p = 2 * lc * bound
+    while True:
+        p = _prime_above(p)  # p > lc, so F mod p keeps degree d
+        Fp = _ProvenPrimeField(p)
+        f = poly_scale(tuple(c % p for c in F), Fp._inv(lc % p), Fp)
+        if len(poly_gcd(f, poly_deriv(f, Fp), Fp)) == 1:
+            break
+    factors = _factor_mod_p(f, Fp)
+    for size in range(1, len(factors)):
+        for subset in itertools.combinations(factors, size):
+            if sum(len(g) - 1 for g in subset) > d // 2:
+                continue
+            G = (lc % p,)
+            for g in subset:
+                G = poly_mul(G, g, Fp)
+            G = [c - p if 2 * c > p else c for c in G]
+            g_content = math.gcd(*G)
+            if not poly_divmod(minpoly, tuple(Fraction(c // g_content) for c in G), Q)[1]:
+                return False
+    return True
+
+
+class _ProvenPrimeField(PrimeField):
+    """F_p for a p the caller has proven prime, of any size."""
+
+    def __init__(self, p: int):
+        self.char = self.p = p
+
+
+def _factor_mod_p(f: tuple, Fp: PrimeField) -> list:
+    """The monic irreducible factors of a monic squarefree f over F_p, p odd:
+    distinct-degree splitting by gcd(f, x^(p^i) - x), then Cantor–Zassenhaus
+    equal-degree splitting with a fixed seed."""
+    x = (0, 1)
+    rng = random.Random(0)
+    out, h, i = [], x, 0
+    while len(f) - 1 >= 2 * (i + 1):
+        i += 1
+        h = poly_powmod(h, Fp.p, f, Fp)  # x^(p^i) mod f
+        g = poly_gcd(f, poly_add(h, poly_neg(x, Fp), Fp), Fp)
+        if len(g) > 1:
+            out += _split_equal_degree(g, i, Fp, rng)
+            f = poly_divmod(f, g, Fp)[0]
+            h = poly_divmod(h, f, Fp)[1]
+    if len(f) > 1:
+        out.append(f)
+    return out
+
+
+def _split_equal_degree(g: tuple, i: int, Fp: PrimeField, rng: random.Random) -> list:
+    """The monic irreducible factors of a monic squarefree g over F_p, p odd,
+    when all of them have degree i: gcd(g, a^((p^i - 1)/2) - 1) for a random
+    a splits g with probability at least 1/2."""
+    n = len(g) - 1
+    if n == i:
+        return [g]
+    e = (Fp.p ** i - 1) // 2
+    while True:
+        a = poly_trim([rng.randrange(Fp.p) for _ in range(n)], Fp)
+        s = poly_gcd(g, poly_add(poly_powmod(a, e, g, Fp), (Fp.p - 1,), Fp), Fp)
+        if 1 < len(s) < len(g):
+            return (_split_equal_degree(s, i, Fp, rng)
+                    + _split_equal_degree(poly_divmod(g, s, Fp)[0], i, Fp, rng))
 
 
 class _UPoly:

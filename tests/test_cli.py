@@ -1,11 +1,14 @@
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
+import germ
 from germ.cli import SessionError, execute, main, parse_session
 
 RICH = (
@@ -129,6 +132,18 @@ def test_reducible_modulus_reports_the_line():
         parse_session("field F3[b]/(b^2-1)\n")
     assert "reducible" in str(exc.value)
     assert exc.value.line == 1
+
+
+def test_prime_field_above_the_limit_reports_the_line(tmp_path):
+    text = "# 10^30 + 57 is prime\nfield F1000000000000000000000000000057\n"
+    with pytest.raises(SessionError) as exc:
+        parse_session(text)
+    assert "3.3e24" in str(exc.value)
+    assert exc.value.line == 2
+    path = tmp_path / "big.germ"
+    path.write_text(text)
+    rep, code = execute(["session", str(path)])
+    assert code == 1 and not rep["ok"] and rep["line"] == 2
 
 
 def test_canonical_form_is_a_parse_fixed_point():
@@ -455,3 +470,35 @@ def test_stdout_is_byte_identical_to_the_recorded_output(
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest, out
+
+
+def test_number_fields_and_ext_descent_run_without_sympy(tmp_path):
+    (command,) = [g[3] for g in GOLDEN if "--ext a^2-2" in g[3]]
+    session = tmp_path / "q4.germ"
+    session.write_text(Q4)
+    args = command.split() + ["--session", str(session)]
+    script = textwrap.dedent(f"""
+        import sys
+        from germ import cli
+        from germ.exactfield import Rationals, make_extension, make_field
+        make_extension(Rationals(), "a^2-2")
+        make_field("Q[a]/(a^3-2)")
+        rep, code = cli.execute({args!r})
+        assert code == 0 and rep["ok"], rep
+        assert "sympy" not in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(germ.__file__)))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_sympy_is_a_test_dependency_only():
+    tomllib = pytest.importorskip("tomllib")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert not any("sympy" in dep for dep in project.get("dependencies", []))
+    extras = project["optional-dependencies"]
+    assert [name for name, deps in extras.items()
+            if any("sympy" in dep for dep in deps)] == ["test"]

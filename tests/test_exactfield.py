@@ -1,6 +1,9 @@
 import itertools
+import math
 import random
+import signal
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -10,7 +13,10 @@ from sympy.polys import galoistools as gt
 from sympy.polys.domains import QQ, ZZ
 
 from germ.exactfield import (
+    PRIME_LIMIT,
     FieldError,
+    _is_prime,
+    _prime_above,
     descend_scalar,
     is_pth_power,
     make_extension,
@@ -18,6 +24,7 @@ from germ.exactfield import (
 )
 
 Q = make_field("Q")
+X = sympy.Symbol("x")
 F2 = make_field("F2")
 F3 = make_field("F3")
 F5 = make_field("F5")
@@ -165,9 +172,124 @@ def test_pth_root_is_checked_before_it_is_returned(monkeypatch):
         is_pth_power(b, 3)
 
 
-# -- irreducibility of minimal polynomials over finite fields ----------------
+# -- primality -----------------------------------------------------------------
 
-X = sympy.Symbol("x")
+def test_miller_rabin_matches_trial_division():
+    got = [n for n in range(20000) if _is_prime(n)]
+    want = [n for n in range(2, 20000)
+            if all(n % d for d in range(2, math.isqrt(n) + 1))]
+    assert got == want
+
+
+@pytest.mark.parametrize("n,prime", [
+    (3215031751, False),             # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),    # strong pseudoprime to bases 2..23
+    (2 ** 61 - 1, True),
+    (10 ** 18 + 3, True),
+])
+def test_miller_rabin_on_strong_pseudoprimes_and_large_primes(n, prime):
+    assert _is_prime(n) == prime
+
+
+def test_a_large_prime_field_is_built_at_once():
+    start = time.perf_counter()
+    field = make_field("F1000000000000000003")
+    assert time.perf_counter() - start < 1.0
+    assert field.size() == 10 ** 18 + 3
+    assert (field.from_int(2) ** (10 ** 18 + 2)) == field.one
+
+
+@pytest.mark.parametrize("text", ["F1000000000000000000000000000057",
+                                  "F1000000000000000000000000000057(s)",
+                                  f"F{PRIME_LIMIT + 1}"])
+def test_prime_fields_at_the_miller_rabin_limit_are_refused(text):
+    with pytest.raises(FieldError, match=r"p < 3\.3e24"):
+        make_field(text)
+
+
+@pytest.mark.parametrize("n", [1, 6, 10 ** 6, PRIME_LIMIT // 2 - 1,
+                               PRIME_LIMIT, 10 ** 40, 10 ** 60])
+def test_prime_above_is_prime_and_least_below_the_limit(n):
+    p = _prime_above(n)
+    assert p > n and sympy.isprime(p)
+    if 2 * n < PRIME_LIMIT:
+        assert p == sympy.nextprime(n)
+
+
+# -- irreducibility of minimal polynomials over Q ------------------------------
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block after ``seconds`` of wall time."""
+    def expire(*_):
+        raise TimeoutError(f"no verdict within {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _q_verdict(poly):
+    """Whether make_extension accepts the sympy Poly ``poly`` over Q (made
+    monic), within one second."""
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in poly.monic().all_coeffs()[::-1]]
+    with _deadline(1.0):
+        try:
+            make_extension(Q, tuple(Q.from_int(c.numerator) / Q.from_int(c.denominator)
+                                    for c in coeffs), "a")
+        except FieldError as e:
+            assert "reducible" in str(e)
+            return False
+    return True
+
+
+Q_PINNED = [
+    (X**4 + 1, True),
+    (X**4 - 10 * X**2 + 1, True),
+    # the minimal polynomial of sqrt 2 + sqrt 3 + sqrt 5: reducible mod every prime
+    (X**8 - 40 * X**6 + 352 * X**4 - 960 * X**2 + 576, True),
+    (sympy.cyclotomic_poly(15, X), True),
+    (X**3 - 2, True),
+    ((X**2 - 2) * (X**2 - 3), False),
+    ((X**2 + 1) ** 2, False),
+    ((X**4 + 1) * (X**4 + 2), False),
+    # 1249, the least prime above the factor bound, divides the discriminant
+    (X**6 + 34 * X**5 + 5 * X**4 + X**3 + 33 * X**2 + 23 * X - 31, True),
+    # factor bounds above PRIME_LIMIT, so the test prime is a Pocklington prime
+    (X**2 - (10**30 + 1), True),
+    (X**2 - 10**30, False),
+    ((X**2 - 3 * 10**20) * (X**2 + 10**21 + 7), False),
+    (X**2 - sympy.Rational(1, 3**60), False),
+]
+
+
+@pytest.mark.parametrize("expr,irreducible", Q_PINNED, ids=[str(e) for e, _ in Q_PINNED])
+def test_q_irreducibility_pinned_cases(expr, irreducible):
+    poly = sympy.Poly(expr, X, domain=QQ)
+    assert poly.is_irreducible == irreducible
+    assert _q_verdict(poly) == irreducible
+
+
+# a factor of degree 1-4 with coefficients n/m, |n| <= 30, 1 <= m <= 9
+Q_FACTOR = st.lists(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 9)),
+                    min_size=2, max_size=5).filter(lambda cs: cs[-1] != 0)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(Q_FACTOR, min_size=1, max_size=3).filter(
+    lambda fs: 2 <= sum(len(f) - 1 for f in fs) <= 8))
+def test_q_irreducibility_matches_sympy(factors):
+    poly = sympy.Poly(1, X, domain=QQ)
+    for cs in factors:
+        poly *= sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in cs[::-1]],
+                           X, domain=QQ)
+    assert _q_verdict(poly) == poly.is_irreducible
+
+
+# -- irreducibility of minimal polynomials over finite fields ----------------
 
 
 def _sympy_irreducible(coeffs, p):
