@@ -129,8 +129,11 @@ def descend(problem: DescentProblem) -> DescentCertificate:
     """Produce a base-field witness carrying f to f_tilde, by peeling.
 
     Raises when a residual cannot be matched by the level-j tangent frame
-    at f modulo deeper terms; with a valid extension witness of the same
-    level that cannot happen, so a failure here refutes the input data.
+    at f modulo deeper terms.  In characteristic zero that cannot happen
+    with a valid extension witness of the same level, so the failure is a
+    jet-level obstruction.  In characteristic p it is not (over F2,
+    x -> x+x^2 carries x^2 to x^2+x^4, yet the tangent image at x^2 is 0
+    since d/dx x^2 = 2x), so the question is left undecided.
     """
     f, f_tilde, filt, j = problem.f, problem.f_tilde, problem.filt, problem.level
     source = f.source
@@ -160,8 +163,10 @@ def descend(problem: DescentProblem) -> DescentCertificate:
         cutoff = (0 if ord_f == float("inf") else int(ord_f)) + d + j
         coeffs = frame.solve_mod(ctx.to_vec(tuple(diff)), cutoff)
         if coeffs is None:
+            char = source.field.char
+            what = "jet-level obstruction" if char == 0 else f"undecided in characteristic {char}"
             raise DescentError(
-                f"jet-level obstruction: residual of order {of} is outside "
+                f"{what}: residual of order {of} is outside "
                 f"the level-{j} tangent image modulo order {cutoff}")
         step = frame.element_from([-c for c in coeffs])
         current = step.act(current)

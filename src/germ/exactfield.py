@@ -54,11 +54,20 @@ class FieldError(ValueError):
     pass
 
 
+_TRIAL_LIMIT = 10**6
+
+
 def _prime_factors(n: int) -> list:
     """The distinct prime factors of n >= 1 in increasing order, by trial
-    division."""
-    out, d = [], 2
+    division up to _TRIAL_LIMIT; a cofactor left above its square must be
+    certified prime by ``_is_prime``, else FieldError."""
+    out, d, m = [], 2, n
     while d * d <= n:
+        if d > _TRIAL_LIMIT:
+            if n >= PRIME_LIMIT or not _is_prime(n):
+                raise FieldError(f"cannot factor {m}: the cofactor {n} has no prime "
+                                 f"factor up to {_TRIAL_LIMIT} and is not provably prime")
+            break
         if n % d == 0:
             out.append(d)
             while n % d == 0:

@@ -110,9 +110,6 @@ class MapGerm:
     def context(self) -> VectorContext:
         return VectorContext(self.source, self.target.nx)
 
-    def to_vec(self):
-        return self.context().to_vec(self.components)
-
     def __eq__(self, other):
         if not isinstance(other, MapGerm):
             return NotImplemented

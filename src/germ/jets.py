@@ -15,6 +15,7 @@ plain exact row reduction in that basis; nothing here is approximate.
 from __future__ import annotations
 
 import math
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from . import expr
@@ -30,7 +31,53 @@ def _mon_sort_key(mon):
 
 
 def _mon_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
+
+
+# -- the term-dict kernel -----------------------------------------------------
+# Jets, polynomials in unknowns and sparse matrix rows are all dicts from a
+# key (a monomial or a vector position) to a nonzero coefficient; these are
+# their one add loop, one multiply loop and one power loop.
+
+def add_terms(out: dict, terms: dict, a=None) -> dict:
+    """out += a * terms in place (``a=None`` means 1), dropping the entries
+    that cancel; returns ``out``."""
+    for key, c in terms.items():
+        if a is not None:
+            c = a * c
+        old = out.get(key)
+        if old is not None:
+            c = old + c
+        if c.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = c
+    return out
+
+
+def mul_terms(p: dict, q: dict, keep=None) -> dict:
+    """The product of two monomial-keyed term dicts, without the monomials
+    ``keep`` refuses and the entries that cancel."""
+    out = {}
+    get = out.get
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            mon = _mon_mul(m1, m2)
+            if keep is None or keep(mon):
+                old = get(mon)
+                out[mon] = c1 * c2 if old is None else old + c1 * c2
+    return {m: c for m, c in out.items() if not c.is_zero()}
+
+
+def power(base, n: int, one):
+    """base ** n by square-and-multiply, ``one`` the unit of its ring."""
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def _mon_divides(a, b):
@@ -86,6 +133,7 @@ class JetRing:
 
         self.ideal_gens = ()
         self.ideal_basis = None
+        self._ideal_rows = ()
         if ideal:
             gens = []
             for g in ideal:
@@ -94,6 +142,11 @@ class JetRing:
             gens = [g for g in gens if g]
             self.ideal_gens = tuple(tuple(sorted(g.items(), key=lambda kv: _mon_sort_key(kv[0]))) for g in gens)
             self.ideal_basis = ideal_span(gens, self)
+            # (pivot monomial, pivot row as domain terms keyed by monomial)
+            self._ideal_rows = tuple(
+                (self.monomials[pivot],
+                 {self.monomials[j]: self.domain.embed_base(r) for j, r in row})
+                for row, pivot in zip(self.ideal_basis.sparse_rows, self.ideal_basis.pivots))
 
     def _enumerate_monomials(self):
         """The in-range exponent vectors in ``_mon_sort_key`` order: by total
@@ -141,26 +194,12 @@ class JetRing:
         return out
 
     def _reduce_mod_ideal(self, coeffs: dict) -> dict:
-        if self.ideal_basis is None or not coeffs:
-            return coeffs
-        out = dict(coeffs)
-        basis = self.ideal_basis
-        for row, pivot in zip(basis.sparse_rows, basis.pivots):
-            pmon = self.monomials[pivot]
-            c = out.get(pmon)
-            if c is None or c.is_zero():
-                continue
-            for j, r in row:
-                mon = self.monomials[j]
-                val = out.get(mon, self._zero_scalar()) - c * self.domain.embed_base(r)
-                if val.is_zero():
-                    out.pop(mon, None)
-                else:
-                    out[mon] = val
-        return out
-
-    def _zero_scalar(self):
-        return self.domain.zero
+        """``coeffs`` reduced in place against the ideal's pivot rows."""
+        for pmon, row in self._ideal_rows:
+            c = coeffs.get(pmon)
+            if c is not None:
+                add_terms(coeffs, row, -c)
+        return coeffs
 
     # -- jet constructors ---------------------------------------------------
 
@@ -204,12 +243,8 @@ class JetRing:
         monomial of the ideal, so neither has their sum."""
         out = {}
         for c, jet in terms:
-            for mon, v in jet.coeffs.items():
-                if c is not None:
-                    v = c * v
-                old = out.get(mon)
-                out[mon] = v if old is None else old + v
-        return Jet(self, {m: v for m, v in out.items() if not v.is_zero()})
+            add_terms(out, jet.coeffs, c)
+        return Jet(self, out)
 
     def from_expr(self, text: str, env: Optional[dict] = None) -> "Jet":
         scope = {name: self.var(name) for name in self.variables}
@@ -286,15 +321,7 @@ class Jet:
         other = self._check(other)
         if other is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for mon, c in other.coeffs.items():
-            val = out.get(mon)
-            val = c if val is None else val + c
-            if val.is_zero():
-                out.pop(mon, None)
-            else:
-                out[mon] = val
-        return Jet(self.ring, out)
+        return Jet(self.ring, add_terms(dict(self.coeffs), other.coeffs))
 
     __radd__ = __add__
 
@@ -320,18 +347,8 @@ class Jet:
         if other is None:
             return NotImplemented
         ring = self.ring
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mon = _mon_mul(m1, m2)
-                if not ring._in_range(mon):
-                    continue
-                val = out.get(mon)
-                prod = c1 * c2
-                val = prod if val is None else val + prod
-                out[mon] = val
-        out = {m: c for m, c in out.items() if not c.is_zero()}
-        return Jet(ring, ring._reduce_mod_ideal(out))
+        return Jet(ring, ring._reduce_mod_ideal(
+            mul_terms(self.coeffs, other.coeffs, ring._in_range)))
 
     __rmul__ = __mul__
 
@@ -347,14 +364,7 @@ class Jet:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise JetError("jet exponents must be non-negative integers")
-        result = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, self.ring.one)
 
     def __truediv__(self, other):
         if isinstance(other, Jet) and set(other.coeffs) <= {other.ring.unit_mon}:
@@ -383,10 +393,7 @@ class Jet:
         return bool(self.coeffs)
 
     def constant_term(self):
-        return self.coeffs.get(self.ring.unit_mon, self.ring._zero_scalar())
-
-    def support(self):
-        return set(self.coeffs)
+        return self.coeffs.get(self.ring.unit_mon, self.ring.domain.zero)
 
     def key(self):
         items = sorted(self.coeffs.items(), key=lambda kv: _mon_sort_key(kv[0]))
@@ -397,18 +404,15 @@ class Jet:
         return max((sum(m) for m in self.coeffs), default=0)
 
     def derivative(self, var: str) -> "Jet":
+        # distinct monomials have distinct derivatives, so nothing collects
         i = self.ring.var_index[var]
         out = {}
         for mon, c in self.coeffs.items():
             e = mon[i]
-            if e == 0:
-                continue
-            dmon = tuple(x - 1 if j == i else x for j, x in enumerate(mon))
-            val = c * self.ring.domain.from_int(e)
-            if val.is_zero():
-                continue
-            out[dmon] = out.get(dmon, self.ring._zero_scalar()) + val
-        out = {m: c for m, c in out.items() if not c.is_zero()}
+            if e:
+                val = c * self.ring.domain.from_int(e)
+                if not val.is_zero():
+                    out[mon[:i] + (e - 1,) + mon[i + 1:]] = val
         return Jet(self.ring, self.ring._reduce_mod_ideal(out))
 
     def substitute(self, args: dict, ring: Optional[JetRing] = None) -> "Jet":
@@ -430,15 +434,6 @@ class Jet:
             target = self.ring
         names = self.ring.variables
         return PowerTable(target, [args.get(n) for n in names], names).image(self)
-
-    def map_coeffs(self, fn, ring: JetRing) -> "Jet":
-        """Transport this jet into ``ring`` by applying ``fn`` to coefficients."""
-        out = {}
-        for mon, c in self.coeffs.items():
-            v = fn(c)
-            if not v.is_zero():
-                out[mon] = v
-        return ring.jet(out)
 
     def __str__(self):
         if not self.coeffs:
@@ -563,7 +558,7 @@ def rref(rows: Iterable[Sequence], field: Field):
         # pivot rows vanish on each other's pivot columns, so subtracting
         # one leaves the row's other pivot entries as they were
         for p in [p for p in row if p in basis]:
-            _axpy(row, -row[p], basis[p])
+            add_terms(row, basis[p], -row[p])
         if not row:
             continue
         col = min(row)
@@ -572,7 +567,7 @@ def rref(rows: Iterable[Sequence], field: Field):
         for other in basis.values():
             c = other.get(col)
             if c is not None:
-                _axpy(other, -c, row)
+                add_terms(other, row, -c)
         basis[col] = row
     pivots = sorted(basis)
     reduced = []
@@ -582,17 +577,6 @@ def rref(rows: Iterable[Sequence], field: Field):
             dense[j] = c
         reduced.append(tuple(dense))
     return reduced, pivots
-
-
-def _axpy(row: dict, a, other: dict):
-    """row += a * other on sparse rows, dropping entries that cancel."""
-    for j, c in other.items():
-        old = row.get(j)
-        val = a * c if old is None else old + a * c
-        if val.is_zero():
-            del row[j]
-        else:
-            row[j] = val
 
 
 def _nonzeros(row: Sequence):
@@ -740,12 +724,6 @@ class SubspaceBasis:
     def residual(self, vec):
         res, _ = reduce_vec(vec, self.sparse_rows, self.pivots, self.context.ring.field)
         return res
-
-    def contains(self, vec) -> bool:
-        return self.membership(vec) is not None
-
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(row) for row in other.rows)
 
     def graded_intersections(self, grades: Sequence):
         """Intersections with the coordinate subspaces {grade >= d}, for every d.

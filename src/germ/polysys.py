@@ -23,7 +23,10 @@ from .exactfield import (
     Field, FieldElem, Rationals, PrimeField, ExtensionField, Extension,
 )
 from . import expr
-from .jets import Jet, JetRing, Filtration, filtration_make, _mon_divides, mon_str
+from .jets import (
+    Jet, JetRing, Filtration, filtration_make, _mon_divides, mon_str,
+    add_terms, mul_terms, power,
+)
 from .germs import (
     GROUP_FACTORS, MapGerm, RightAut, LeftAut, JetMatrix, Contact, Pair, GermError,
     identity_element, from_factors, product_ring, extend_ring, extend_map, restrict_map,
@@ -126,9 +129,6 @@ class Poly:
     def constant_term(self) -> FieldElem:
         return self.coeffs.get(self.ring.unit_mon, self.ring.field.zero)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.coeffs), default=0)
-
     def leading_monomial(self):
         if not self.coeffs:
             raise PolyError("the zero polynomial has no leading term")
@@ -142,66 +142,43 @@ class Poly:
                     out.add(name)
         return out
 
-    def _binop(self, other, sign: int) -> "Poly":
+    def _coerce(self, other) -> "Poly":
+        """``other`` as a polynomial of this ring: ints and field scalars
+        become constants."""
         if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if other.ring != self.ring:
+            return self.ring.from_int(other)
+        if isinstance(other, FieldElem):
+            return self.ring.embed_base(other)
+        if not isinstance(other, Poly):
+            raise PolyError(f"not a polynomial: {other!r}")
+        if other.ring is not self.ring and other.ring != self.ring:
             raise PolyError("polynomials over different unknown registries")
-        out = dict(self.coeffs)
-        for mon, c in other.coeffs.items():
-            val = out.get(mon, self.ring.field.zero)
-            val = val + c if sign > 0 else val - c
-            if val.is_zero():
-                out.pop(mon, None)
-            else:
-                out[mon] = val
-        return Poly(self.ring, out)
+        return other
 
     def __add__(self, other):
-        return self._binop(other, 1)
+        return Poly(self.ring, add_terms(dict(self.coeffs), self._coerce(other).coeffs))
 
     def __sub__(self, other):
-        return self._binop(other, -1)
+        return self + (-self._coerce(other))
 
     def __neg__(self):
         return Poly(self.ring, {m: -c for m, c in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if isinstance(other, FieldElem):
-            other = self.ring.embed_base(other)
-        if other.ring != self.ring:
-            raise PolyError("polynomials over different unknown registries")
-        out = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                mon = tuple(a + b for a, b in zip(m1, m2))
-                val = out.get(mon, self.ring.field.zero) + c1 * c2
-                if val.is_zero():
-                    out.pop(mon, None)
-                else:
-                    out[mon] = val
-        return Poly(self.ring, out)
+        return Poly(self.ring, mul_terms(self.coeffs, self._coerce(other).coeffs))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = self.ring.from_int(other)
-        if isinstance(other, FieldElem):
-            other = self.ring.embed_base(other)
-        if not isinstance(other, Poly) or not other.is_constant() or other.is_zero():
+        other = self._coerce(other)
+        if not other.is_constant() or other.is_zero():
             raise PolyError("can only divide by a non-zero constant")
         return self.scale(other.constant_term().inverse())
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise PolyError("exponents must be non-negative integers")
-        out = self.ring.one
-        for _ in range(e):
-            out = out * self
-        return out
+        return power(self, e, self.ring.one)
 
     def scale(self, c: FieldElem) -> "Poly":
         if c.is_zero():

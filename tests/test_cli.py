@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -226,6 +227,36 @@ def test_descend_invalid_witness_is_exit_1(sessions):
                          "--level", "1", "--witness", "(x+x^2)"])
     assert code == 1
     assert rep["error"] == "witness action mismatch at coefficient x^2"
+
+
+@pytest.mark.parametrize("field,order,f,ft,extra", [
+    # x -> x+x^2 carries x^2 to x^2+x^4 over F2
+    ("F2", 4, "x^2", "x^2+x^4", []),
+    ("F3", 6, "x^3", "x^3+x^6", ["--ext", "b^2+1", "--witness", "(x+x^2)"]),
+], ids=["F2", "F3-ext"])
+def test_descend_failure_in_characteristic_p_is_exit_1(tmp_path, field, order, f, ft, extra):
+    path = tmp_path / "charp.germ"
+    path.write_text(f"field {field}\njet {order}\nsource vars: x ideal: ()\n"
+                    f"target vars: u ideal: ()\nmap f = ({f})\nmap ft = ({ft})\n")
+    rep, code = execute(["descend", "--session", str(path), "--group", "R",
+                         "--map", "f", "--map2", "ft", "--level", "1"] + extra)
+    assert code == 1
+    assert rep["error"].startswith(f"undecided in characteristic {field[1:]}")
+    assert "obstruction" not in rep["error"]
+
+
+def test_orbits_over_a_huge_prime_field_fail_fast(tmp_path):
+    # 10^18+3 is prime; q^2-1 keeps a composite cofactor with no factor
+    # below the trial-division limit
+    path = tmp_path / "huge.germ"
+    path.write_text("field F1000000000000000003\njet 2\nsource vars: x ideal: ()\n"
+                    "target vars: u ideal: ()\nmap f = (x^2)\n")
+    start = time.perf_counter()
+    rep, code = execute(["orbits", "--session", str(path), "--group", "R",
+                         "--ext", "b^2+1", "--map", "f", "--cap", "5"])
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert "not provably prime" in rep["error"]
 
 
 @pytest.fixture(scope="module")

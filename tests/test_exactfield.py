@@ -17,6 +17,7 @@ from germ.exactfield import (
     FieldError,
     _is_prime,
     _prime_above,
+    _prime_factors,
     descend_scalar,
     is_pth_power,
     make_extension,
@@ -189,6 +190,20 @@ def test_miller_rabin_matches_trial_division():
 ])
 def test_miller_rabin_on_strong_pseudoprimes_and_large_primes(n, prime):
     assert _is_prime(n) == prime
+
+
+def test_prime_factors_match_sympy():
+    # 2 * 1000003 leaves a prime cofactor above the trial-division limit
+    for n in list(range(1, 3000)) + [2 * 1000003, 10 ** 18 + 2]:
+        assert _prime_factors(n) == sorted(sympy.primefactors(n)), n
+
+
+@pytest.mark.parametrize("n", [1000003 * 1000033, 2 * (2 ** 89 - 1)])
+def test_prime_factors_refuse_a_cofactor_they_cannot_certify(n):
+    # a composite with no factor up to the trial-division limit, and a
+    # prime above PRIME_LIMIT
+    with pytest.raises(FieldError, match="not provably prime"):
+        _prime_factors(n)
 
 
 def test_a_large_prime_field_is_built_at_once():

@@ -9,6 +9,7 @@ from sympy import GF, QQ
 from sympy.polys.matrices import DomainMatrix
 
 from germ.exactfield import make_field
+from germ.polysys import PolyRing
 from germ.jets import _mon_sort_key
 from germ.jets import (
     JetRing,
@@ -364,3 +365,52 @@ def test_membership_recombines_or_refuses(case, loose, weights):
         for c, row in zip(coords, basis.rows):
             total = [a + c * b for a, b in zip(total, row)]
         assert total == vec
+
+
+# -- the term-dict kernel ------------------------------------------------------
+
+TERMS = st.dictionaries(st.tuples(st.integers(0, 4), st.integers(0, 4)),
+                        st.integers(-3, 3), max_size=6)
+
+
+def _terms(field, raw):
+    coeffs = {mon: field.from_int(c) for mon, c in raw.items()}
+    return {mon: c for mon, c in coeffs.items() if not c.is_zero()}
+
+
+def _no_zero_coefficient(*values):
+    return all(not c.is_zero() for v in values for c in v.coeffs.values())
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["Q", "F5"]), TERMS, TERMS, st.integers(0, 5))
+def test_jet_and_poly_arithmetic_share_one_kernel(fname, raw_a, raw_b, n):
+    field = make_field(fname)
+    ring = JetRing(field, ["x", "y"], 3)
+    polys = PolyRing(field, ["x", "y"])
+    a, b = _terms(field, raw_a), _terms(field, raw_b)
+    pa, pb = polys.poly(a), polys.poly(b)
+    ja, jb = ring.jet(a), ring.jet(b)
+    assert ja + jb == ring.jet((pa + pb).coeffs)
+    assert ja - jb == ring.jet((pa - pb).coeffs)
+    assert ja * jb == ring.jet((pa * pb).coeffs)
+    jet_power, poly_power = ring.one, polys.one
+    for _ in range(n):
+        jet_power, poly_power = jet_power * ja, poly_power * pa
+    assert ja ** n == jet_power and pa ** n == poly_power
+    assert _no_zero_coefficient(ja + jb, ja - jb, ja * jb, ja ** n, pa + pb, pa - pb,
+                                pa * pb, pa ** n)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(["Q", "F5"]), st.sampled_from(["x^2-y^3", "x*y+y^2"]),
+       TERMS, TERMS)
+def test_the_product_in_a_quotient_is_the_reduced_raw_product(fname, gen, raw_a, raw_b):
+    field = make_field(fname)
+    raw = JetRing(field, ["x", "y"], 4)
+    ring = JetRing(field, ["x", "y"], 4, ideal=[raw.from_expr(gen)])
+    a, b = _terms(field, raw_a), _terms(field, raw_b)
+    product = raw.jet(a) * raw.jet(b)
+    reduced = ring._reduce_mod_ideal(dict(product.coeffs))
+    assert (ring.jet(a) * ring.jet(b)).coeffs == reduced
+    assert _no_zero_coefficient(ring.jet(a) * ring.jet(b))
