@@ -25,12 +25,10 @@ from .jets import Filtration, JetError, JetRing, filtration_make
 from .germs import (
     GROUP_FACTORS,
     GROUP_TAGS,
-    Contact,
     GermError,
-    LeftAut,
     MapGerm,
-    RightAut,
     extend_ring,
+    factor_layout,
     from_factors,
     group_level,
     product_ring,
@@ -464,20 +462,16 @@ def parse_session(text: str) -> Session:
                 if keyword == "map":
                     comps = [_expr_in(sess.source, t, n) for t in comp_texts]
                     sess.maps[name] = MapGerm(sess.source, sess.target, comps)
-                elif keyword == "aut":
-                    side = _aut_side(sess, comp_texts, n)
-                    if side == "source":
-                        comps = [_expr_in(sess.source, t, n) for t in comp_texts]
-                        sess.auts[name] = RightAut(sess.source, comps)
-                    else:
-                        comps = [_expr_in(sess.target, t, n) for t in comp_texts]
-                        sess.auts[name] = LeftAut(sess.target, comps)
-                    sess.aut_sides[name] = side
                 else:
-                    joint = sess.joint_ring()
-                    comps = [_expr_in(joint, t, n) for t in comp_texts]
-                    sess.contacts[name] = Contact(
-                        sess.source, sess.target, comps, joint=joint)
+                    kind = "C"
+                    if keyword == "aut":
+                        sess.aut_sides[name] = _aut_side(sess, comp_texts, n)
+                        kind = "R" if sess.aut_sides[name] == "source" else "L"
+                    ring, _, _, build = factor_layout(
+                        kind, sess.source, sess.target,
+                        sess.joint_ring() if kind == "C" else None)
+                    element = build([_expr_in(ring, t, n) for t in comp_texts], True)
+                    (sess.contacts if kind == "C" else sess.auts)[name] = element
             except GermError as e:
                 raise SessionError(str(e), n)
 
@@ -539,12 +533,8 @@ def _element_from_text(tag: str, text: str, source: JetRing, target: JetRing):
         return [ring.from_expr(t) for t in items]
 
     def factor(kind, part):
-        if kind == "R":
-            return RightAut(source, comps(part, source))
-        if kind == "L":
-            return LeftAut(target, comps(part, target))
-        joint = product_ring(source, target)
-        return Contact(source, target, comps(part, joint), joint=joint)
+        ring, _, _, build = factor_layout(kind, source, target)
+        return build(comps(part, ring), True)
 
     kinds = GROUP_FACTORS.get(tag, ())
     if not kinds or "Mat" in kinds:
@@ -658,13 +648,7 @@ def cmd_descend(args):
     f = sess.map_named(args.map)
     g = sess.map_named(args.map2)
     filt = sess.filtration_named(args.filtration)
-    if args.ext is not None:
-        try:
-            ext = make_extension(sess.field, args.ext)
-        except FieldError as e:
-            raise CLIError(str(e))
-    else:
-        ext = sess.ext
+    ext = make_extension(sess.field, args.ext) if args.ext is not None else sess.ext
 
     witness = None
     if args.witness is not None:
@@ -682,17 +666,13 @@ def cmd_descend(args):
                     "e.g. --witness '(x+a*x^2)'")
             witness = sess.element_named(tag, args.witness)
 
-    try:
-        problem = DescentProblem(tag, f, g, filt, args.level,
-                                 ext=ext, witness=witness)
-    except DescentError as e:
-        raise CLIError(str(e))
+    problem = DescentProblem(tag, f, g, filt, args.level, ext=ext, witness=witness)
     try:
         cert = descend(problem)
     except DescentError as e:
         if "obstruction" in str(e):
             return {"descended": False, "reason": str(e)}, 2
-        raise CLIError(str(e))
+        raise
     return {"descended": True, "certificate": cert.describe()}, 0
 
 
@@ -720,10 +700,7 @@ def cmd_solve(args):
     if args.session is not None:
         field = parse_session(_read_text(args.session)).field
     elif args.field is not None:
-        try:
-            field = make_field(args.field)
-        except FieldError as e:
-            raise CLIError(str(e))
+        field = make_field(args.field)
     else:
         raise CLIError("solve needs --field or --session for the coefficients")
     try:
@@ -741,22 +718,14 @@ def cmd_solve(args):
             return result, 2
         return result, 0
 
-    ext = None
-    if args.ext is not None:
-        try:
-            ext = make_extension(field, args.ext)
-        except FieldError as e:
-            raise CLIError(str(e))
+    ext = make_extension(field, args.ext) if args.ext is not None else None
     domain = None
     if args.base_points:
         if ext is None:
             raise CLIError("--base-points needs --ext")
         domain = [ext.embed(e) for e in field.elements()]
-    try:
-        sols = brute_solve(system, field=ext.top if ext else None, domain=domain,
-                           limit=args.limit, **cap)
-    except PolyError as e:
-        raise CLIError(str(e))
+    sols = brute_solve(system, field=ext.top if ext else None, domain=domain,
+                       limit=args.limit, **cap)
     listed = [{name: str(v) for name, v in sorted(sol.items())} for sol in sols]
     result = {"solutions": listed, "count": len(listed)}
     if not listed:
@@ -773,10 +742,7 @@ def cmd_orbits(args):
                  for ln in sess.canonical().splitlines()]
         sess = parse_session("\n".join(lines) + "\n")
     if args.ext is not None:
-        try:
-            ext = make_extension(sess.field, args.ext)
-        except FieldError as e:
-            raise CLIError(str(e))
+        ext = make_extension(sess.field, args.ext)
     elif sess.ext is not None:
         ext = sess.ext
     else:

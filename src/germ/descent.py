@@ -23,7 +23,7 @@ from typing import Optional
 
 from .jets import Jet, Filtration, filtration_make, nullspace
 from .germs import (
-    MapGerm, GroupElement, group_level, extend_ring, extend_map, map_jets,
+    MapGerm, GroupElement, group_level, extend_ring, extend_map, identity_element, map_jets,
 )
 from .tangent import tangent_space
 
@@ -181,7 +181,6 @@ def descend(problem: DescentProblem) -> DescentCertificate:
         raise DescentError("descent did not terminate")  # pragma: no cover
 
     if acc is None:
-        from .germs import identity_element
         witness = identity_element(problem.tag, f.source, f.target)
     else:
         witness = acc.inverse()

@@ -298,7 +298,7 @@ class RightAut(GroupElement):
 
     @classmethod
     def identity(cls, ring: JetRing) -> "RightAut":
-        return cls(ring, [ring.var(n) for n in ring.xvars], validate=False)
+        return factor_identity("R", ring, ring)
 
     def substitute_into(self, jet: Jet) -> Jet:
         return self.table.image(jet)
@@ -353,7 +353,7 @@ class LeftAut(GroupElement):
 
     @classmethod
     def identity(cls, ring: JetRing) -> "LeftAut":
-        return cls(ring, [ring.var(n) for n in ring.xvars], validate=False)
+        return factor_identity("L", ring, ring)
 
     def act(self, f: MapGerm) -> MapGerm:
         if f.target != self.ring:
@@ -421,9 +421,7 @@ class JetMatrix(GroupElement):
 
     @classmethod
     def identity(cls, source: JetRing, target: JetRing) -> "JetMatrix":
-        m = target.nx
-        rows = [[source.one if i == j else source.zero for j in range(m)] for i in range(m)]
-        return cls(source, target, rows, validate=False)
+        return factor_identity("Mat", source, target)
 
     def act(self, f: MapGerm) -> MapGerm:
         if f.source != self.source:
@@ -506,12 +504,6 @@ class Contact(GroupElement):
         """The target jet ``q`` at the stored tuple, in the joint ring."""
         return PowerTable.at(self.target, self.joint,
                              dict(zip(self.target.xvars, self.comps))).image(q)
-
-    @classmethod
-    def identity(cls, source: JetRing, target: JetRing) -> "Contact":
-        joint = product_ring(source, target)
-        return cls(source, target, [joint.var(n) for n in target.xvars],
-                   joint=joint, validate=False)
 
     def substitute_map(self, comps: Sequence[Jet], ring: JetRing):
         """Components of the stored tuple at (x, comps)."""
@@ -634,15 +626,40 @@ class ContactLinPair(Pair):
         return self.outer.rows
 
 
+def factor_layout(kind: str, source: JetRing, target: JetRing,
+                  joint: Optional[JetRing] = None):
+    """One factor kind of ``GROUP_FACTORS`` as ``(ring, identity, mons,
+    build)``: its elements are ``build(jets, validate)`` for the tuples of
+    jets of ``ring`` supported on ``mons``, one per entry of the
+    ``identity`` tuple.  A ``Mat`` matrix is flattened row by row; a ``C``
+    tuple lives on ``joint``, the product ring of source and target unless
+    given (a caller with other coefficients passes its own)."""
+    if kind in ("R", "L"):
+        ring = source if kind == "R" else target
+        cls = RightAut if kind == "R" else LeftAut
+        return (ring, [ring.var(n) for n in ring.xvars],
+                [mon for mon in ring.monomials if sum(mon) >= 1],
+                lambda jets, validate: cls(ring, jets, validate=validate))
+    m = target.nx
+    if kind == "Mat":
+        return (source, [source.one if i == j else source.zero
+                         for i in range(m) for j in range(m)],
+                list(source.monomials),
+                lambda jets, validate: JetMatrix(
+                    source, target, [jets[i * m: (i + 1) * m] for i in range(m)],
+                    validate=validate))
+    if joint is None:
+        joint = product_ring(source, target)
+    return (joint, [joint.var(n) for n in target.xvars],
+            [mon for mon in joint.monomials if sum(mon[source.nx: source.nx + m]) >= 1],
+            lambda jets, validate: Contact(source, target, jets, joint=joint,
+                                           validate=validate))
+
+
 def factor_identity(kind: str, source: JetRing, target: JetRing) -> GroupElement:
     """The identity of one factor kind of ``GROUP_FACTORS``."""
-    if kind == "R":
-        return RightAut.identity(source)
-    if kind == "L":
-        return LeftAut.identity(target)
-    if kind == "Mat":
-        return JetMatrix.identity(source, target)
-    return Contact.identity(source, target)
+    _, identity, _, build = factor_layout(kind, source, target)
+    return build(identity, False)
 
 
 def from_factors(parts: Sequence[GroupElement]) -> GroupElement:

@@ -71,13 +71,14 @@ def mul_terms(p: dict, q: dict, keep=None) -> dict:
 
 def power(base, n: int, one):
     """base ** n by square-and-multiply, ``one`` the unit of its ring."""
-    result = one
+    result = None
     while n:
         if n & 1:
-            result = result * base
-        base = base * base
+            result = base if result is None else result * base
         n >>= 1
-    return result
+        if n:
+            base = base * base
+    return one if result is None else result
 
 
 def _mon_divides(a, b):
@@ -824,6 +825,7 @@ class Filtration:
                 raise JetError("filtration chain is not descending")
         self._check_multiplicative()
         self._sets = {d + 1: s for d, s in enumerate(self.chain)}
+        self._products = {}
         self._orders = None
 
     @property
@@ -852,18 +854,22 @@ class Filtration:
         cached = self._sets.get(d)
         if cached is not None:
             return cached
+        result = self._times((self.level_set(a), self.level_set(d - a))
+                             for a in range(1, d // 2 + 1))
+        self._sets[d] = result
+        return result
+
+    def _times(self, pairs) -> frozenset:
+        """The in-range products m1 * m2, m1 in sa and m2 in sb, over the
+        monomial sets (sa, sb) in ``pairs``."""
         acc = set()
-        for a in range(1, d // 2 + 1):
-            sa = self.level_set(a)
-            sb = self.level_set(d - a)
+        for sa, sb in pairs:
             for m1 in sa:
                 for m2 in sb:
                     prod = _mon_mul(m1, m2)
                     if self.ring._in_range(prod):
                         acc.add(prod)
-        result = frozenset(acc)
-        self._sets[d] = result
-        return result
+        return frozenset(acc)
 
     def vanishing_depth(self) -> int:
         """The least d with an empty level-d term."""
@@ -895,23 +901,13 @@ class Filtration:
 
     def product_set(self, e: int, d: int) -> frozenset:
         """Monomials reachable as products of e members of the level-d term."""
-        if not hasattr(self, "_products"):
-            self._products = {}
         key = (e, d)
         if key in self._products:
             return self._products[key]
         if e <= 1:
             result = self.level_set(d)
         else:
-            prev = self.product_set(e - 1, d)
-            base = self.level_set(d)
-            acc = set()
-            for m1 in prev:
-                for m2 in base:
-                    prod = _mon_mul(m1, m2)
-                    if self.ring._in_range(prod):
-                        acc.add(prod)
-            result = frozenset(acc)
+            result = self._times([(self.product_set(e - 1, d), self.level_set(d))])
         self._products[key] = result
         return result
 

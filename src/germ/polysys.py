@@ -28,9 +28,8 @@ from .jets import (
     add_terms, mul_terms, power,
 )
 from .germs import (
-    GROUP_FACTORS, MapGerm, RightAut, LeftAut, JetMatrix, Contact, Pair, GermError,
-    identity_element, from_factors, product_ring, extend_ring, extend_map, restrict_map,
-    level_probes,
+    GROUP_FACTORS, MapGerm, Pair, GermError, factor_layout, identity_element,
+    from_factors, product_ring, extend_ring, extend_map, restrict_map, level_probes,
 )
 from .descent import verify_witness
 
@@ -293,8 +292,10 @@ def system_from_json(data: dict, field: Field) -> PolySystem:
 
 # -- compilation -------------------------------------------------------------
 
-# the name of each factor kind in a compiled system's provenance
+# the name of each factor kind in a compiled system's provenance, and the
+# prefix of its unknowns
 _FACTORS = {"R": "right", "L": "left", "Mat": "mat", "C": "contact"}
+_PREFIX = {"R": "a", "L": "b", "Mat": "c", "C": "c"}
 
 
 def _domain_twin(ring: JetRing, dom: PolyRing) -> JetRing:
@@ -325,26 +326,15 @@ def _det(entries, ring: PolyRing) -> Poly:
 
 def _factor_elements(factors, source: JetRing, target: JetRing,
                      joint: Optional[JetRing], coeff, validate: bool = True) -> dict:
-    """The group factor of each part, with ``coeff(name)`` at every unknown's
-    (name, position, monomial)."""
+    """The group factor of each kind, with ``coeff(name)`` at every unknown's
+    (name, entry, monomial) of its ``factor_layout``."""
     out = {}
-    for part, entries in factors.items():
-        if part == "mat":
-            m = target.nx
-            rows = [[{} for _ in range(m)] for _ in range(m)]
-            for name, (i, l), mon in entries:
-                rows[i][l][mon] = coeff(name)
-            out[part] = JetMatrix(source, target, rows, validate=validate)
-            continue
-        comps = [{} for _ in range(source.nx if part == "right" else target.nx)]
-        for name, i, mon in entries:
-            comps[i][mon] = coeff(name)
-        if part == "right":
-            out[part] = RightAut(source, comps, validate=validate)
-        elif part == "left":
-            out[part] = LeftAut(target, comps, validate=validate)
-        else:
-            out[part] = Contact(source, target, comps, joint=joint, validate=validate)
+    for kind, entries in factors.items():
+        _, identity, _, build = factor_layout(kind, source, target, joint)
+        jets = [{} for _ in identity]
+        for name, k, mon in entries:
+            jets[k][mon] = coeff(name)
+        out[kind] = build(jets, validate)
     return out
 
 
@@ -363,65 +353,34 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
         raise PolyError("the two maps must share source and target")
     source, target = f.source, f.target
     field = source.field
-    parts = [_FACTORS[kind] for kind in GROUP_FACTORS[tag]]
-    if "mat" in parts and target.ideal_gens:
+    kinds = GROUP_FACTORS[tag]
+    if "Mat" in kinds and target.ideal_gens:
         raise PolyError("matrix contact equivalence needs a smooth target")
     if level > 0 and filt is None:
         filt = filtration_make(source, "madic")
 
-    names = []
-    factors = {}
-    joint_k = product_ring(source, target) if "contact" in parts else None
-
-    def fresh(prefix, cnt):
-        cnt[0] += 1
-        name = f"{prefix}{cnt[0]}"
-        names.append(name)
-        return name
-
-    if "right" in parts:
-        cnt = [0]
-        factors["right"] = [(fresh("a", cnt), i, mon)
-                            for i in range(source.nx)
-                            for mon in source.monomials if sum(mon) > 0]
-    if "left" in parts:
-        cnt = [0]
-        factors["left"] = [(fresh("b", cnt), i, mon)
-                           for i in range(target.nx)
-                           for mon in target.monomials if sum(mon) > 0]
-    if "mat" in parts:
-        cnt = [0]
-        factors["mat"] = [(fresh("c", cnt), (i, l), mon)
-                          for i in range(target.nx)
-                          for l in range(target.nx)
-                          for mon in source.monomials]
-    if "contact" in parts:
-        cnt = [0]
-        nsrc = source.nx
-        factors["contact"] = [(fresh("c", cnt), slot, mon)
-                              for slot in range(target.nx)
-                              for mon in joint_k.monomials
-                              if sum(mon[nsrc: nsrc + target.nx]) > 0]
-
-    aux_names = {}
-    for part in parts:
-        if len(parts) == 1:
-            aux_names[part] = "z"
-        else:
-            aux_names[part] = "zx" if part == "right" else "zy"
-    names.extend(aux_names[p] for p in parts)
-
-    PR = PolyRing(field, names)
+    # the unknown coefficients of each factor, source change first, entry by
+    # entry and then monomial by monomial: (name, entry, monomial)
+    joint_k = product_ring(source, target) if "C" in kinds else None
+    rings, factors = {}, {}
+    for kind in reversed(kinds):
+        rings[kind], identity, mons, _ = factor_layout(kind, source, target, joint_k)
+        factors[kind] = [(f"{_PREFIX[kind]}{n}", k, mon) for n, (k, mon) in
+                         enumerate(itertools.product(range(len(identity)), mons), 1)]
+    aux_names = {kind: "z" if len(kinds) == 1 else "zx" if kind == "R" else "zy"
+                 for kind in kinds}
+    PR = PolyRing(field, [name for entries in factors.values() for name, _, _ in entries]
+                  + list(aux_names.values()))
     S_source = _domain_twin(source, PR)
     S_target = _domain_twin(target, PR)
     S_joint = _domain_twin(joint_k, PR) if joint_k is not None else None
 
     # the unknown group data as unvalidated elements over jets with
-    # polynomial coefficients; the target-side factor comes first in parts
+    # polynomial coefficients; the target-side factor comes first in kinds
     elements = _factor_elements(factors, S_source, S_target, S_joint, PR.var,
                                 validate=False)
-    right = elements.get("right")
-    outer = elements.get(parts[0]) if parts[0] != "right" else None
+    right = elements.get("R")
+    outer = elements.get(kinds[0]) if kinds[0] != "R" else None
 
     def act(element, comps):
         if element is None:
@@ -462,26 +421,25 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
     pulls = []
     if right is not None:
         pulls.append(("source-ideal", source, S_source, right.substitute_into))
-    if "left" in elements:
-        pulls.append(("target-ideal", target, S_target,
-                      elements["left"]._inner.substitute_into))
-    if "contact" in elements:
-        pulls.append(("target-ideal", target, S_target, elements["contact"]._pull_generator))
+    if "L" in elements:
+        pulls.append(("target-ideal", target, S_target, elements["L"]._inner.substitute_into))
+    if "C" in elements:
+        pulls.append(("target-ideal", target, S_target, elements["C"]._pull_generator))
     for condition, ring, twin, pull in pulls:
         for gi, g in enumerate(ring.ideal_gen_jets()):
             push_jet(pull(_embed_jet(g, twin.raw())), condition, {"generator": gi})
 
     # invertibility of each factor, by a product unknown against the
     # relevant determinant at the base point
-    for part in parts:
-        push(_det(elements[part].linear_part(), PR) * PR.var(aux_names[part]) - PR.one,
-             {"condition": "invertibility", "factor": part})
+    for kind in kinds:
+        push(_det(elements[kind].linear_part(), PR) * PR.var(aux_names[kind]) - PR.one,
+             {"condition": "invertibility", "factor": _FACTORS[kind]})
 
     # confinement to the level subgroup: acting on every test map must
     # raise its filtration order by at least the level
     if level > 0:
-        whole = from_factors([elements[part] for part in parts])
-        linear = "left" not in parts and "contact" not in parts
+        whole = from_factors([elements[kind] for kind in kinds])
+        linear = "L" not in kinds and "C" not in kinds
         for v in level_probes(source, target, linear):
             d = filt.order_of(v)
             if d == float("inf"):
@@ -493,7 +451,7 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
                          {"component": i, "test_order": int(d)},
                          order_below=d + level, filt_for=filt)
 
-    factor_ring = {"right": source, "left": target, "mat": source, "contact": joint_k}
+    m = target.nx
     provenance = {
         "group": tag,
         "level": level,
@@ -502,12 +460,12 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
         "f": [str(c) for c in f.components],
         "f_tilde": [str(c) for c in f_tilde.components],
         "unknown_factors": {
-            part: [[name, list(pos) if isinstance(pos, tuple) else pos,
-                    factor_ring[part].mon_str(mon)]
-                   for name, pos, mon in factors[part]]
-            for part in parts
+            _FACTORS[kind]: [[name, [k // m, k % m] if kind == "Mat" else k,
+                              rings[kind].mon_str(mon)]
+                             for name, k, mon in factors[kind]]
+            for kind in kinds
         },
-        "aux": {part: aux_names[part] for part in parts},
+        "aux": {_FACTORS[kind]: aux_names[kind] for kind in kinds},
     }
     layout = {
         "tag": tag,
@@ -572,8 +530,8 @@ def assemble_witness(system: PolySystem, solution: dict):
     # the system says outer(f) = f_tilde(Phi), so Phi^-1 after outer carries
     # f to f_tilde; each side is the group's element with identity elsewhere
     ident = identity_element(tag, source, target).factors()
-    outer = from_factors([i if i.tag == "R" else built[_FACTORS[i.tag]] for i in ident])
-    source_change = from_factors([built["right"] if i.tag == "R" else i for i in ident])
+    outer = from_factors([i if i.tag == "R" else built[i.tag] for i in ident])
+    source_change = from_factors([built["R"] if i.tag == "R" else i for i in ident])
     witness = source_change.inverse().compose(outer)
     return witness, verify_witness(witness, f, ft)
 
@@ -814,38 +772,11 @@ def groebner_inconsistent(system, cap: int = 20000) -> GroebnerReport:
 
 # -- orbit splitting under a finite extension --------------------------------
 
-def _factor(part: str, source: JetRing, target: JetRing):
-    """One group factor as ``(ring, identity, mons, build)``: its elements
-    are ``build(jets, validate)`` for the tuples of jets of ``ring``
-    supported on ``mons``, one per entry of the ``identity`` tuple.  The
-    parts are ``right``, ``left``, ``mat`` (Klin matrices, flattened row by
-    row, with identity source change) and ``contact``."""
-    if part in ("right", "left"):
-        ring = source if part == "right" else target
-        cls = RightAut if part == "right" else LeftAut
-        return (ring, [ring.var(n) for n in ring.xvars],
-                [m for m in ring.monomials if sum(m) >= 1],
-                lambda jets, validate: cls(ring, jets, validate=validate))
-    m = target.nx
-    if part == "mat":
-        return (source, [source.one if i == j else source.zero
-                         for i in range(m) for j in range(m)],
-                list(source.monomials),
-                lambda jets, validate: JetMatrix(
-                    source, target, [jets[i * m: (i + 1) * m] for i in range(m)],
-                    validate=validate))
-    joint = product_ring(source, target)
-    return (joint, [joint.var(n) for n in target.xvars],
-            [mn for mn in joint.monomials if sum(mn[source.nx: source.nx + m]) >= 1],
-            lambda jets, validate: Contact(source, target, jets, joint=joint,
-                                           validate=validate))
-
-
-def _enumerate_factor(part: str, source: JetRing, target: JetRing, cap: int):
+def _enumerate_factor(kind: str, source: JetRing, target: JetRing, cap: int):
     """Every element of one group factor, in the lexicographic order of its
     coefficient tuples over sorted field values, the first entry's
     coefficients most significant; tuples that fail validation are skipped."""
-    ring, identity, mons, build = _factor(part, source, target)
+    ring, identity, mons, build = factor_layout(kind, source, target)
     width, slots = len(mons), len(identity)
     total = ring.field.size() ** (slots * width)
     if total > cap:
@@ -869,8 +800,7 @@ def enumerate_group(tag: str, source: JetRing, target: JetRing, cap: int = 10 **
         raise PolyError("group enumeration needs a finite field")
     if tag not in GROUP_FACTORS:
         raise PolyError(f"unknown group {tag!r}")
-    parts = [_enumerate_factor(_FACTORS[kind], source, target, cap)
-             for kind in GROUP_FACTORS[tag]]
+    parts = [_enumerate_factor(kind, source, target, cap) for kind in GROUP_FACTORS[tag]]
     if len(parts) == 1:
         return parts[0]
     outers, rights = parts
@@ -879,13 +809,13 @@ def enumerate_group(tag: str, source: JetRing, target: JetRing, cap: int = 10 **
     return [Pair(a, b) for a in outers for b in rights]
 
 
-def _factor_generators(part: str, source: JetRing, target: JetRing):
+def _factor_generators(kind: str, source: JetRing, target: JetRing):
     """The identity of one group factor with its first entry times zeta, a
     primitive element, and with c*m added to one entry, m one of the
     factor's monomials other than the entry's own term and c over the
     F_p-basis 1, zeta, ..., zeta^(d-1) of F_(p^d).  Klin matrices get the
     c*x^alpha on the diagonal at the first entry only."""
-    ring, identity, mons, build = _factor(part, source, target)
+    ring, identity, mons, build = factor_layout(kind, source, target)
     field = ring.field
     zeta = field.primitive_element()
     basis, span = [field.one], field.char
@@ -894,7 +824,7 @@ def _factor_generators(part: str, source: JetRing, target: JetRing):
         span *= field.char
     out = [build([identity[0].scale(zeta)] + identity[1:], False)]
     for k, entry in enumerate(identity):
-        if part == "mat" and k and not entry.is_zero():
+        if kind == "Mat" and k and not entry.is_zero():
             continue
         for mon in mons:
             if mon in entry.coeffs:
@@ -939,7 +869,7 @@ def _census_generators(tag: str, source: JetRing, target: JetRing, cap: int):
     if source.ideal_gens or target.ideal_gens or source.tvars or target.tvars:
         return enumerate_group(tag, source, target, cap), False
     return [g for kind in GROUP_FACTORS[tag]
-            for g in _factor_generators(_FACTORS[kind], source, target)], True
+            for g in _factor_generators(kind, source, target)], True
 
 
 def _map_key(f: MapGerm):

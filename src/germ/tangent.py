@@ -34,8 +34,8 @@ from .jets import (
 )
 from .germs import (
     GROUP_FACTORS, MapGerm, GroupElement, RightAut, LeftAut, JetMatrix, Contact, Pair,
-    factor_identity, from_factors, product_ring, matrix_apply, matrix_mul, level_probes,
-    probe_images, probe_level, _reindex,
+    factor_identity, factor_layout, from_factors, product_ring, matrix_apply, matrix_mul,
+    level_probes, probe_images, probe_level, _reindex,
 )
 
 
@@ -425,14 +425,13 @@ def _candidates(kind: str, source: JetRing, target: JetRing,
     filtration monomial fed to it, so the candidate lies in the level-j
     subgroup's tangent exactly when it is at least j.
     """
+    ring, identity, mons, _ = factor_layout(kind, source, target, joint)
     depths = range(1, filt.vanishing_depth())
     out = []
     if kind == "R":
-        for nu in source.monomials:
-            if sum(nu) == 0:
-                continue
+        for nu in mons:
             jet = source.jet({nu: source.domain.one})
-            for i, vec in enumerate(_slots(kind, jet, source.nx, source, target, joint)):
+            for i, vec in enumerate(_slots(kind, jet, len(identity), source, target, joint)):
                 unit = tuple(1 if l == i else 0 for l in range(len(nu)))
                 level = _least_gain(source, filt, (
                     (tuple(a + b - c for a, b, c in zip(nu, mu, unit)), filt.mon_order(mu))
@@ -440,7 +439,7 @@ def _candidates(kind: str, source: JetRing, target: JetRing,
                 out.append((level, vec))
     elif kind == "Mat":
         m = target.nx
-        for alpha in source.monomials:
+        for alpha in mons:
             level = _least_gain(source, filt, ((_mon_mul(alpha, nu), d) for d in depths
                                                for nu in filt.level_set(d)))
             entry = source.jet({alpha: source.domain.one})
@@ -452,14 +451,10 @@ def _candidates(kind: str, source: JetRing, target: JetRing,
     else:
         # a target-side monomial w = x^a t^c y^beta, fed e filtration
         # monomials of level d (e = |beta|), lands on x^a t^c times their product
-        ring = target if kind == "L" else joint
         nsrc = 0 if kind == "L" else source.nx
         m = target.nx
-        for w in ring.monomials:
-            beta = w[nsrc: nsrc + m]
-            e = sum(beta)
-            if sum(w) == 0 or (kind == "C" and e == 0):
-                continue  # a contact part must vanish on the zero section
+        for w in mons:
+            e = sum(w[nsrc: nsrc + m])
             base = tuple(w[:nsrc]) + (0,) * (source.nx - nsrc) + tuple(w[nsrc + m:])
             level = _least_gain(source, filt, (
                 (_mon_mul(base, nu), d) for d in depths

@@ -291,6 +291,22 @@ def test_solve_cap_bounds_the_search(compiled_system):
     assert rep["error"] == "search space of size 81 exceeds the cap 1"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["descend", "--session", "q4", "--group", "R", "--map", "f", "--map2", "ft",
+      "--ext", "a^2-1"], "minimal polynomial a^2-1 is reducible"),
+    (["orbits", "--session", "f3", "--group", "R", "--map", "f", "--ext", "b^2-1"],
+     "minimal polynomial b^2+2 is reducible"),
+    (["solve", "sys", "--field", "F4"], "4 is not prime"),
+    (["solve", "sys", "--field", "F3", "--ext", "b^2-1"],
+     "minimal polynomial b^2+2 is reducible"),
+], ids=["descend-ext", "orbits-ext", "solve-field", "solve-ext"])
+def test_field_errors_are_exit_1(sessions, compiled_system, argv, error):
+    paths = dict(sessions, sys=compiled_system)
+    rep, code = execute([paths.get(a, a) for a in argv])
+    assert code == 1
+    assert rep["error"] == error
+
+
 def test_groebner_reports_consistency(compiled_system):
     rep, code = execute(["solve", compiled_system, "--field", "F3",
                          "--method", "groebner"])

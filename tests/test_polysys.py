@@ -13,12 +13,16 @@ from germ.germs import (
     MapGerm,
     extend_map,
     extend_ring,
+    factor_identity,
+    factor_layout,
     from_factors,
     group_level,
     identity_element,
+    product_ring,
     restrict_map,
 )
 from germ.descent import verify_witness
+from germ.tangent import _candidates
 from germ.polysys import (
     Poly,
     PolyError,
@@ -459,3 +463,37 @@ def test_a_nonzero_constant_equation_has_no_solutions():
     assert brute_solve(system) == []
     empty = PolySystem(PolyRing(F3, []), [], [])
     assert brute_solve(empty) == [{}]
+
+
+# each factor kind with a group that has it and the name of its unknowns in
+# a compiled system's provenance
+LAYOUT_GROUPS = {"R": ("R", "right"), "L": ("L", "left"), "Mat": ("Klin", "mat"),
+                 "C": ("C", "contact")}
+PLANE = JetRing(Q, ["x", "y"], 2)
+LAYOUT_CASES = (
+    [(kind, JetRing(Q, ["u", "v"], 2), ("x^2", "y^2")) for kind in LAYOUT_GROUPS]
+    + [(kind, JetRing(Q, ["u", "v"], 2, ideal=[{(1, 1): Q.one}]), ("x^2", "0"))
+       for kind in ("R", "L", "C")]
+)
+
+
+@pytest.mark.parametrize("kind,target,comps", LAYOUT_CASES,
+                         ids=[f"{c[0]}-{'smooth' if not c[1].ideal_gens else 'uv'}"
+                              for c in LAYOUT_CASES])
+def test_factor_layout_agrees_with_its_readers(kind, target, comps):
+    ring, identity, mons, build = factor_layout(kind, PLANE, target)
+    size = len(identity) * len(mons)
+    assert build(identity, True) == factor_identity(kind, PLANE, target)
+
+    tag, part = LAYOUT_GROUPS[kind]
+    f = germ_map(PLANE, target, *comps)
+    unknowns = compile_system(tag, f, f).provenance["unknown_factors"][part]
+    m = target.nx
+    positions = [[k // m, k % m] if kind == "Mat" else k for k in range(len(identity))]
+    assert [u[1:] for u in unknowns] == [[positions[k], ring.mon_str(mon)]
+                                         for k in range(len(identity)) for mon in mons]
+    assert len(unknowns) == size
+
+    cands = _candidates(kind, PLANE, target, product_ring(PLANE, target),
+                        filtration_make(PLANE, "madic"))
+    assert len(cands) == size

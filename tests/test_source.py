@@ -1,0 +1,25 @@
+"""Checks on the source text of ``src/germ`` itself."""
+
+import ast
+import os
+
+import pytest
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "germ")
+MODULES = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_module_level_import_is_used(module):
+    # no pyflakes here: a name bound by a module-level import must be read
+    # somewhere in the module (quoted annotations are not parsed)
+    with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [f"{alias.asname or alias.name.split('.')[0]} (line {node.lineno})"
+              for node in tree.body
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and getattr(node, "module", None) != "__future__"
+              for alias in node.names
+              if (alias.asname or alias.name.split(".")[0]) not in used]
+    assert not unused, f"{module} imports names it never uses: {', '.join(unused)}"
