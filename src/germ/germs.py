@@ -5,16 +5,24 @@ variable, with no constant term, carrying every target ideal generator to
 zero in the source ring.  Group elements store the substitution data that
 their action applies directly:
 
-* right elements store a coordinate-change tuple Phi and act by f -> f(Phi);
-* left elements store a target tuple Psi and act by f -> Psi(f);
+* right, left and contact elements are one kind of object, a substitution
+  (``_Substitution``): a tuple of jets substituted for the geometric
+  variables of one side, fixing every other variable.  Right elements
+  (``RightAut``) change the source and act by f -> f(Phi); left elements
+  (``LeftAut``) change the target and act by f -> Psi(f); contact elements
+  (``Contact``) change the target over the joint source-target ring and act
+  by f -> C(x, f);
+* one validity rule serves all three: every term of every component
+  contains a changed variable, so the zero section (the origin, for every
+  value of the family parameters) stays put, the linear part in the
+  changed variables is invertible, and each ideal generator of the changed
+  side pulls back to zero.  So x -> x + t is refused in a family;
 * matrix elements store an invertible matrix M over the source ring and
   act by f -> M * f;
-* contact elements store a tuple C over the joint source-target ring
-  (zero on the target axis, invertible target-linear part) and act by
-  f -> C(x, f);
 * the groups LR, Klin and K pair one of these target-side factors with a
   right element and act by f -> outer(f(Phi)) (``Pair``); the factors of
-  every group are listed once, in ``GROUP_FACTORS``.
+  every group are listed once, in ``GROUP_FACTORS``, and laid out once, in
+  ``factor_layout``.
 
 Composition and inversion are arranged so that acting is a left action:
 (g . h).act(f) equals g.act(h.act(f)).  Inverses of substitution tuples
@@ -259,135 +267,168 @@ class GroupElement:
         return hash((self.tag, self.key()))
 
 
-class RightAut(GroupElement):
-    """Source coordinate change; acts by substitution into the map."""
+class _Substitution(GroupElement):
+    """A coordinate change of one side: jets of ``ring`` substituted for
+    ``names``, the geometric variables of the ring ``side``, with every
+    other variable of ``ring`` fixed.
 
-    tag = "R"
+    A valid tuple fixes the zero section of the changed variables (the
+    origin, for every value of the parameters): every term of every
+    component contains one of the ``names``.  Its linear part in the
+    ``names`` is invertible, and it carries each ideal generator of
+    ``side`` to zero.  ``source`` and ``target`` are the rings of the maps
+    it acts on, None where any will do.  The error messages are class
+    attributes.
+    """
 
-    def __init__(self, ring: JetRing, comps: Sequence[Jet], validate: bool = True):
+    source = target = None
+    key_name = "?"
+    _constant_msg = "component for {name!r} has a constant term"
+    _section_msg = "component for {name!r} has a parameter-only term"
+    _singular_msg = "coordinate change has a singular linear part"
+    _ideal_msg = "coordinate change does not preserve the ideal: moves {q}"
+    _rings_msg = "?"
+
+    def __init__(self, ring: JetRing, side: JetRing, comps: Sequence[Jet], validate: bool):
         self.ring = ring
+        self.side = side
+        self.names = side.xvars
         self.comps = tuple(ring.jet(c) for c in comps)
-        if len(self.comps) != ring.nx:
-            raise GermError(f"expected {ring.nx} components, got {len(self.comps)}")
+        if len(self.comps) != len(self.names):
+            raise GermError(f"expected {len(self.names)} components, got {len(self.comps)}")
         self._table = None
         if validate:
             self._validate()
 
     def _validate(self):
-        for name, c in zip(self.ring.xvars, self.comps):
-            if not c.constant_term().is_zero():
-                raise GermError(f"component for {name!r} has a constant term")
+        if self._constant_msg:
+            for name, c in zip(self.names, self.comps):
+                if not c.constant_term().is_zero():
+                    raise GermError(self._constant_msg.format(name=name))
+        moves = _moves(self.ring, self.names)
+        for name, c in zip(self.names, self.comps):
+            if not all(moves(mon) for mon in c.coeffs):
+                raise GermError(self._section_msg.format(name=name))
         if _is_singular(self.linear_part(), self.ring.field):
-            raise GermError("coordinate change has a singular linear part")
-        for g in self.ring.ideal_gen_jets():
-            if not self.substitute_into(g).is_zero():
-                raise GermError(f"coordinate change does not preserve the ideal: moves {g}")
+            raise GermError(self._singular_msg)
+        for q in self.side.ideal_gen_jets():
+            if not self.pullback(q).is_zero():
+                raise GermError(self._ideal_msg.format(q=q))
+
+    def _with(self, comps) -> "_Substitution":
+        """The same change with other components, unvalidated."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, comps=tuple(self.ring.jet(c) for c in comps),
+                            _table=None)
+        return new
 
     @property
     def table(self) -> PowerTable:
         """The powers of the components, built once and shared by every
-        substitution into this element (parameters stay fixed)."""
+        substitution into this element (the other variables stay fixed)."""
         if self._table is None:
-            self._table = PowerTable.at(self.ring, self.ring,
-                                        dict(zip(self.ring.xvars, self.comps)))
+            self._table = PowerTable.at(self.ring, self.ring, dict(zip(self.names, self.comps)))
         return self._table
 
+    def substitute_into(self, jet: Jet) -> Jet:
+        return self.table.image(jet)
+
+    def pullback(self, q: Jet) -> Jet:
+        """A jet in the variables of ``side`` at the components, in ``ring``."""
+        return self.substitute_into(_reindex(q, self.ring.raw()))
+
     def linear_part(self):
-        """Coefficients of the plain geometric variables in each component."""
-        return _linear_matrix(self.comps, self.ring, self.ring.xvars)
+        """Coefficients of the plain changed variables in each component."""
+        return _linear_matrix(self.comps, self.ring, self.names)
+
+    def _check_rings(self, f: MapGerm):
+        if ((self.source is not None and f.source != self.source)
+                or (self.target is not None and f.target != self.target)):
+            raise GermError(self._rings_msg)
+
+    def act(self, f: MapGerm) -> MapGerm:
+        """The map substituted into the components: f -> C(x, f)."""
+        self._check_rings(f)
+        table = PowerTable.at(self.ring, f.source, dict(zip(self.names, f.components)))
+        return MapGerm(f.source, f.target, [table.image(c) for c in self.comps],
+                       validate=False)
+
+    def _compose(self, other: "_Substitution"):
+        # (self . other).act(f) = self.comps(other.comps(f)): other's
+        # components substituted into self's
+        return [other.substitute_into(c) for c in self.comps]
+
+    def compose(self, other: "_Substitution") -> "_Substitution":
+        if not isinstance(other, type(self)):
+            raise GermError(f"cannot compose {self.tag} with {other.tag}")
+        return self._with(self._compose(other))
+
+    def inverse(self) -> "_Substitution":
+        """The tuple D with D(self) = identity, inverted in the ``names`` alone."""
+        return self._with(invert_tuple(self.comps, self.ring, self.names))
+
+    def is_identity(self) -> bool:
+        return all(c == self.ring.var(n) for n, c in zip(self.names, self.comps))
+
+    def key(self):
+        return tuple(c.key() for c in self.comps)
+
+    def describe(self):
+        return {"group": self.tag, self.key_name: [jet_to_json(c) for c in self.comps]}
+
+    def __repr__(self):
+        return f"<{self.tag} {tuple(str(c) for c in self.comps)}>"
+
+
+def _moves(ring: JetRing, names: Sequence[str]):
+    """Whether a monomial of ``ring`` has a positive exponent in one of ``names``."""
+    where = [ring.var_index[n] for n in names]
+    return lambda mon: any(mon[i] for i in where)
+
+
+class RightAut(_Substitution):
+    """Source coordinate change; acts by substitution into the map."""
+
+    tag = "R"
+    key_name = "source"
+    _rings_msg = "map and coordinate change live on different sources"
+
+    def __init__(self, ring: JetRing, comps: Sequence[Jet], validate: bool = True):
+        self.source = ring
+        super().__init__(ring, ring, comps, validate)
 
     @classmethod
     def identity(cls, ring: JetRing) -> "RightAut":
         return factor_identity("R", ring, ring)
 
-    def substitute_into(self, jet: Jet) -> Jet:
-        return self.table.image(jet)
-
     def act(self, f: MapGerm) -> MapGerm:
-        if f.source != self.ring:
-            raise GermError("map and coordinate change live on different sources")
+        self._check_rings(f)
         return MapGerm(f.source, f.target,
                        [self.substitute_into(c) for c in f.components], validate=False)
 
-    def compose(self, other: "RightAut") -> "RightAut":
-        if not isinstance(other, RightAut):
-            raise GermError(f"cannot compose R with {other.tag}")
-        # (self . other).act(f) = self.act(other.act(f)) = f(other.comps(self.comps))
-        return RightAut(self.ring, [self.substitute_into(c) for c in other.comps],
-                        validate=False)
-
-    def inverse(self) -> "RightAut":
-        return RightAut(self.ring, invert_tuple(self.comps, self.ring, self.ring.xvars),
-                        validate=False)
-
-    def is_identity(self) -> bool:
-        return all(c == self.ring.var(n) for n, c in zip(self.ring.xvars, self.comps))
-
-    def key(self):
-        return tuple(c.key() for c in self.comps)
-
-    def describe(self):
-        return {"group": "R", "source": [jet_to_json(c) for c in self.comps]}
-
-    def __repr__(self):
-        return f"<R {tuple(str(c) for c in self.comps)}>"
+    def _compose(self, other: "RightAut"):
+        # (self . other).act(f) = f(other.comps(self.comps))
+        return [self.substitute_into(c) for c in other.comps]
 
 
-class LeftAut(GroupElement):
+class LeftAut(_Substitution):
     """Target coordinate change; acts by substitution of the map into it."""
 
     tag = "L"
+    key_name = "target"
+    _rings_msg = "map and target change live on different targets"
 
     def __init__(self, ring: JetRing, comps: Sequence[Jet], validate: bool = True):
-        self.ring = ring
-        self.comps = tuple(ring.jet(c) for c in comps)
-        if len(self.comps) != ring.nx:
-            raise GermError(f"expected {ring.nx} components, got {len(self.comps)}")
-        if validate:
-            self._inner = RightAut(ring, comps)  # same conditions, target side
-        else:
-            self._inner = RightAut(ring, self.comps, validate=False)
-
-    def linear_part(self):
-        return self._inner.linear_part()
+        self.target = ring
+        super().__init__(ring, ring, comps, validate)
 
     @classmethod
     def identity(cls, ring: JetRing) -> "LeftAut":
         return factor_identity("L", ring, ring)
 
-    def act(self, f: MapGerm) -> MapGerm:
-        if f.target != self.ring:
-            raise GermError("map and target change live on different targets")
-        table = PowerTable.at(self.ring, f.source, dict(zip(self.ring.xvars, f.components)))
-        return MapGerm(f.source, f.target, [table.image(c) for c in self.comps],
-                       validate=False)
-
-    def compose(self, other: "LeftAut") -> "LeftAut":
-        if not isinstance(other, LeftAut):
-            raise GermError(f"cannot compose L with {other.tag}")
-        # (self . other).act(f) = self.comps(other.comps(f)), so the composed
-        # components substitute other into self; the mirrored RightAut
-        # composition has its arguments swapped for exactly this reason
-        return LeftAut(self.ring, other._inner.compose(self._inner).comps, validate=False)
-
-    def inverse(self) -> "LeftAut":
-        return LeftAut(self.ring, self._inner.inverse().comps, validate=False)
-
     def after(self, right: RightAut) -> "LeftAut":
         """A target change does not see the source: itself."""
         return self
-
-    def is_identity(self) -> bool:
-        return self._inner.is_identity()
-
-    def key(self):
-        return tuple(c.key() for c in self.comps)
-
-    def describe(self):
-        return {"group": "L", "target": [jet_to_json(c) for c in self.comps]}
-
-    def __repr__(self):
-        return f"<L {tuple(str(c) for c in self.comps)}>"
 
 
 class JetMatrix(GroupElement):
@@ -460,95 +501,35 @@ class JetMatrix(GroupElement):
         return f"<Mat {len(self.rows)}x{len(self.rows)}>"
 
 
-class Contact(GroupElement):
-    """A fiberwise target change over the source, as a joint-ring tuple.
+class Contact(_Substitution):
+    """A fiberwise target change over the source, as a tuple over the
+    joint source-target ring in the target variables.
 
-    The stored components vanish on the zero section, have an invertible
-    target-linear part at the base point, and carry each target ideal
-    generator into the span of its own multiples, so that substitution of
-    any valid map produces a valid map.
+    Its zero section is the source: the stored components vanish at y = 0,
+    so that substitution of any valid map produces a valid map.
     """
 
     tag = "C"
+    key_name = "contact"
+    _constant_msg = None
+    _section_msg = "component for {name!r} does not vanish on the zero section"
+    _singular_msg = "target-linear part is singular at the base point"
+    _ideal_msg = "components carry {q} outside the ideal span"
+    _rings_msg = "map and contact change disagree on rings"
 
     def __init__(self, source: JetRing, target: JetRing, comps: Sequence[Jet],
                  joint: Optional[JetRing] = None, validate: bool = True):
         self.source = source
         self.target = target
-        self.joint = joint if joint is not None else product_ring(source, target)
-        self.comps = tuple(self.joint.jet(c) for c in comps)
-        if len(self.comps) != target.nx:
-            raise GermError(f"expected {target.nx} components, got {len(self.comps)}")
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        nsrc = self.source.nx
-        for name, c in zip(self.target.xvars, self.comps):
-            for mon in c.coeffs:
-                if all(e == 0 for e in mon[nsrc: nsrc + self.target.nx]):
-                    raise GermError(
-                        f"component for {name!r} does not vanish on the zero section")
-        if _is_singular(self.linear_part(), self.source.field):
-            raise GermError("target-linear part is singular at the base point")
-        for q in self.target.ideal_gen_jets():
-            image = self._pull_generator(q)
-            if not image.is_zero():
-                raise GermError(f"components carry {q} outside the ideal span")
-
-    def linear_part(self):
-        """Coefficients of the plain target variables in each component."""
-        return _linear_matrix(self.comps, self.joint, self.target.xvars)
-
-    def _pull_generator(self, q: Jet) -> Jet:
-        """The target jet ``q`` at the stored tuple, in the joint ring."""
-        return PowerTable.at(self.target, self.joint,
-                             dict(zip(self.target.xvars, self.comps))).image(q)
-
-    def substitute_map(self, comps: Sequence[Jet], ring: JetRing):
-        """Components of the stored tuple at (x, comps)."""
-        table = PowerTable.at(self.joint, ring, dict(zip(self.target.xvars, comps)))
-        return [table.image(c) for c in self.comps]
-
-    def act(self, f: MapGerm) -> MapGerm:
-        if f.source != self.source or f.target != self.target:
-            raise GermError("map and contact change disagree on rings")
-        return MapGerm(f.source, f.target,
-                       self.substitute_map(f.components, f.source), validate=False)
-
-    def compose(self, other: "Contact") -> "Contact":
-        if not isinstance(other, Contact):
-            raise GermError(f"cannot compose C with {other.tag}")
-        return Contact(self.source, self.target, self.substitute_map(other.comps, self.joint),
-                       joint=self.joint, validate=False)
-
-    def fiber_inverse(self) -> "Contact":
-        """The tuple D with D(x, self(x, y)) = y, inverted in y alone."""
-        return Contact(self.source, self.target,
-                       invert_tuple(self.comps, self.joint, self.target.xvars),
-                       joint=self.joint, validate=False)
-
-    inverse = fiber_inverse
+        super().__init__(joint if joint is not None else product_ring(source, target),
+                         target, comps, validate)
 
     def after(self, right: RightAut) -> "Contact":
         """The contact tuple C(Phi(x), y), Phi the source change ``right``."""
-        joint = self.joint
+        joint = self.ring
         table = PowerTable.at(joint, joint, {n: _reindex(c, joint)
                                              for n, c in zip(self.source.xvars, right.comps)})
-        return Contact(self.source, self.target, [table.image(c) for c in self.comps],
-                       joint=joint, validate=False)
-
-    def is_identity(self) -> bool:
-        return all(c == self.joint.var(n) for n, c in zip(self.target.xvars, self.comps))
-
-    def key(self):
-        return tuple(c.key() for c in self.comps)
-
-    def describe(self):
-        return {"group": "C", "contact": [jet_to_json(c) for c in self.comps]}
-
-    def __repr__(self):
-        return f"<C {tuple(str(c) for c in self.comps)}>"
+        return self._with([table.image(c) for c in self.comps])
 
 
 # The factor kinds of each group, the target-side one first; the pair groups
@@ -631,15 +612,11 @@ def factor_layout(kind: str, source: JetRing, target: JetRing,
     """One factor kind of ``GROUP_FACTORS`` as ``(ring, identity, mons,
     build)``: its elements are ``build(jets, validate)`` for the tuples of
     jets of ``ring`` supported on ``mons``, one per entry of the
-    ``identity`` tuple.  A ``Mat`` matrix is flattened row by row; a ``C``
+    ``identity`` tuple.  A ``Mat`` matrix is flattened row by row, over
+    every monomial; the R, L and C tuples take the monomials with a changed
+    variable in them, the terms their zero-section rule allows.  A ``C``
     tuple lives on ``joint``, the product ring of source and target unless
     given (a caller with other coefficients passes its own)."""
-    if kind in ("R", "L"):
-        ring = source if kind == "R" else target
-        cls = RightAut if kind == "R" else LeftAut
-        return (ring, [ring.var(n) for n in ring.xvars],
-                [mon for mon in ring.monomials if sum(mon) >= 1],
-                lambda jets, validate: cls(ring, jets, validate=validate))
     m = target.nx
     if kind == "Mat":
         return (source, [source.one if i == j else source.zero
@@ -648,12 +625,18 @@ def factor_layout(kind: str, source: JetRing, target: JetRing,
                 lambda jets, validate: JetMatrix(
                     source, target, [jets[i * m: (i + 1) * m] for i in range(m)],
                     validate=validate))
-    if joint is None:
-        joint = product_ring(source, target)
-    return (joint, [joint.var(n) for n in target.xvars],
-            [mon for mon in joint.monomials if sum(mon[source.nx: source.nx + m]) >= 1],
-            lambda jets, validate: Contact(source, target, jets, joint=joint,
-                                           validate=validate))
+    if kind == "C":
+        ring = joint if joint is not None else product_ring(source, target)
+        build = lambda jets, validate: Contact(source, target, jets, joint=ring,
+                                               validate=validate)
+    else:
+        ring = source if kind == "R" else target
+        cls = RightAut if kind == "R" else LeftAut
+        build = lambda jets, validate: cls(ring, jets, validate=validate)
+    names = (source if kind == "R" else target).xvars
+    moves = _moves(ring, names)
+    return (ring, [ring.var(n) for n in names],
+            [mon for mon in ring.monomials if moves(mon)], build)
 
 
 def factor_identity(kind: str, source: JetRing, target: JetRing) -> GroupElement:
@@ -881,27 +864,22 @@ def map_jets(element: GroupElement, fn, source: Optional[JetRing] = None,
              target: Optional[JetRing] = None) -> GroupElement:
     """``element`` with ``fn(jet, ring)`` in place of each stored jet.
 
-    ``ring`` is the jet's ring in the result: ``source``, ``target`` or,
-    for a contact part, their product ring; ``None`` keeps the element's
-    own rings.
+    ``ring`` is the jet's ring in the result: on the new ``source`` and
+    ``target``, given together, or on the element's own rings when both are
+    ``None``.
     """
     def walk(el):
-        if isinstance(el, RightAut):
-            ring = source or el.ring
-            return RightAut(ring, [fn(c, ring) for c in el.comps], validate=False)
-        if isinstance(el, LeftAut):
-            ring = target or el.ring
-            return LeftAut(ring, [fn(c, ring) for c in el.comps], validate=False)
         if isinstance(el, Pair):
             return Pair(walk(el.outer), walk(el.right))
         if isinstance(el, JetMatrix):
             ring = source or el.source
             return JetMatrix(ring, target or el.target,
                              [[fn(e, ring) for e in row] for row in el.rows], validate=False)
-        if isinstance(el, Contact):
-            joint = el.joint if source is None else product_ring(source, target)
-            return Contact(source or el.source, target or el.target,
-                           [fn(c, joint) for c in el.comps], joint=joint, validate=False)
+        if isinstance(el, _Substitution):
+            if source is None:
+                return el._with([fn(c, el.ring) for c in el.comps])
+            ring, _, _, build = factor_layout(el.tag, source, target)
+            return build([fn(c, ring) for c in el.comps], False)
         raise GermError(f"cannot map the jets of {el.tag}")
 
     return walk(element)

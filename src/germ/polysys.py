@@ -418,16 +418,11 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
     # the source change must respect the source ideal, and likewise on the
     # target side; images are reduced in the quotient, so their canonical
     # coefficients are the conditions
-    pulls = []
-    if right is not None:
-        pulls.append(("source-ideal", source, S_source, right.substitute_into))
-    if "L" in elements:
-        pulls.append(("target-ideal", target, S_target, elements["L"]._inner.substitute_into))
-    if "C" in elements:
-        pulls.append(("target-ideal", target, S_target, elements["C"]._pull_generator))
-    for condition, ring, twin, pull in pulls:
-        for gi, g in enumerate(ring.ideal_gen_jets()):
-            push_jet(pull(_embed_jet(g, twin.raw())), condition, {"generator": gi})
+    for element, condition in ((right, "source-ideal"), (outer, "target-ideal")):
+        if element is not None and element.tag != "Mat":
+            for gi, g in enumerate(element.side.ideal_gen_jets()):
+                push_jet(element.pullback(_embed_jet(g, element.side.raw())), condition,
+                         {"generator": gi})
 
     # invertibility of each factor, by a product unknown against the
     # relevant determinant at the base point

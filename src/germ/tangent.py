@@ -26,6 +26,7 @@ when a needed factorial vanishes.
 from __future__ import annotations
 
 import copy
+import itertools
 from typing import Optional, Sequence
 
 from .jets import (
@@ -35,7 +36,7 @@ from .jets import (
 from .germs import (
     GROUP_FACTORS, MapGerm, GroupElement, RightAut, LeftAut, JetMatrix, Contact, Pair,
     factor_identity, factor_layout, from_factors, product_ring, matrix_apply, matrix_mul,
-    level_probes, probe_images, probe_level, _reindex,
+    level_probes, probe_images, probe_level, _reindex, _Substitution,
 )
 
 
@@ -186,22 +187,10 @@ class MatVector(TangentVector):
         return all(e.is_zero() for row in self.rows for e in row)
 
     def exp(self) -> JetMatrix:
-        m = len(self.rows)
-        ring = self.source
-        total = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
-        power = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
-        k_fact = 1
-        for k in range(1, ring.dim + 2):
-            k_fact *= k
-            power = matrix_mul(power, [list(r) for r in self.rows], ring)
-            if all(e.is_zero() for row in power for e in row):
-                return JetMatrix(self.source, self.target, total, validate=False)
-            inv = _series_scalar(ring.field, k_fact)
-            if inv is None:
-                raise TangentError(_FACTORIAL_MSG.format(p=ring.field.char, k=k))
-            total = [[total[i][j] + power[i][j].scale(inv) for j in range(m)]
-                     for i in range(m)]
-        raise TangentError("matrix direction is not nilpotent at jet level")
+        return JetMatrix(self.source, self.target,
+                         _matrix_series(self.source, self.rows, False,
+                                        "matrix direction is not nilpotent at jet level"),
+                         validate=False)
 
     def key(self):
         return tuple(tuple(e.key() for e in row) for row in self.rows)
@@ -233,29 +222,50 @@ class ContactVector(_Derivation):
                        validate=False)
 
 
+def _series_terms(ring: JetRing, start, step, is_zero, log: bool, bound_msg: str):
+    """The pairs (c_k, T^k(start)) of a series in a nilpotent operator
+    T = ``step``, up to the first k with T^k(start) zero: c_k = 1/k! from
+    k = 0 (exp, c_0 = 1 given as None), or (-1)^(k+1)/k from k = 1 (``log``).
+
+    Each k checks, in order: T^k(start) zero (the sum is complete),
+    k > dim + 1 (``bound_msg``: on a jet of ``ring`` a nilpotent T is zero
+    by then), and c_k infinite in the characteristic.
+    """
+    if not log:
+        yield None, start
+    term, k_fact = start, 1
+    for k in itertools.count(1):
+        term = step(term)
+        if is_zero(term):
+            return
+        if k > ring.dim + 1:
+            raise TangentError(bound_msg)
+        k_fact *= k
+        c = _series_scalar(ring.field, k if log else k_fact)
+        if c is None:
+            raise TangentError(_FACTORIAL_MSG.format(p=ring.field.char, k=k))
+        yield (-c if log and k % 2 == 0 else c), term
+
+
+def _matrix_series(ring: JetRing, B, log: bool, bound_msg: str):
+    """exp(B), or log(1 + B) for ``log``, of a square jet matrix B."""
+    m = len(B)
+    one = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
+    terms = list(_series_terms(ring, one, lambda P: matrix_mul(P, B, ring),
+                               lambda P: all(e.is_zero() for row in P for e in row),
+                               log, bound_msg))
+    return [[ring.combination((c, P[i][j]) for c, P in terms) for j in range(m)]
+            for i in range(m)]
+
+
 def _exp_derivation(ring: JetRing, names, derive):
     """Components name + D(name) + D^2(name)/2! + ... of the flow at time 1."""
     for name in names:
         if not derive(ring.var(name)).constant_term().is_zero():
             raise TangentError(f"coefficient of d/d{name} has a constant term")
-    comps = []
-    for name in names:
-        term = ring.var(name)
-        total = term
-        k_fact = 1
-        for k in range(1, ring.dim + 2):
-            term = derive(term)
-            if term.is_zero():
-                break
-            k_fact *= k
-            inv = _series_scalar(ring.field, k_fact)
-            if inv is None:
-                raise TangentError(_FACTORIAL_MSG.format(p=ring.field.char, k=k))
-            total = total + term.scale(inv)
-        else:
-            raise TangentError("derivation is not nilpotent at jet level")
-        comps.append(total)
-    return comps
+    return [ring.combination(_series_terms(ring, ring.var(name), derive, Jet.is_zero, False,
+                                           "derivation is not nilpotent at jet level"))
+            for name in names]
 
 
 def _operator_log(ring: JetRing, names, comps):
@@ -266,65 +276,29 @@ def _operator_log(ring: JetRing, names, comps):
     substitution is unipotent at jet level.
     """
     sigma = PowerTable.at(ring, ring, dict(zip(names, comps))).image
-
-    out = []
-    for name in names:
-        u = sigma(ring.var(name)) - ring.var(name)
-        total = ring.zero
-        k = 1
-        while not u.is_zero():
-            if k > ring.dim + 1:
-                raise TangentError("substitution is not unipotent at jet level")
-            inv = _series_scalar(ring.field, k)
-            if inv is None:
-                raise TangentError(_FACTORIAL_MSG.format(p=ring.field.char, k=k))
-            sign = inv if k % 2 == 1 else -inv
-            total = total + u.scale(sign)
-            u = sigma(u) - u
-            k += 1
-        out.append(total)
-    return out
+    return [ring.combination(_series_terms(ring, ring.var(name), lambda u: sigma(u) - u,
+                                           Jet.is_zero, True,
+                                           "substitution is not unipotent at jet level"))
+            for name in names]
 
 
 def log_element(element: GroupElement) -> dict:
     """Tangent data whose kind-wise exp recovers the element; keys by kind."""
-    if isinstance(element, RightAut):
-        comps = _operator_log(element.ring, element.ring.xvars, element.comps)
-        return {"R": DerVector(element.ring, comps)}
-    if isinstance(element, LeftAut):
-        comps = _operator_log(element.ring, element.ring.xvars, element.comps)
-        return {"L": TargetDerVector(element.ring, comps)}
+    if isinstance(element, _Substitution):
+        comps = _operator_log(element.ring, element.names, element.comps)
+        return {element.tag: _vector(element.tag, comps, element.source, element.target,
+                                     element.ring)}
     if isinstance(element, JetMatrix):
-        return {"Mat": MatVector(element.source, element.target,
-                                 _matrix_log(element.rows, element.source))}
-    if isinstance(element, Contact):
-        comps = _operator_log(element.joint, element.target.xvars, element.comps)
-        return {"C": ContactVector(element.source, element.target, comps,
-                                   joint=element.joint)}
+        ring = element.source
+        B = [[e - (ring.one if i == j else ring.zero) for j, e in enumerate(row)]
+             for i, row in enumerate(element.rows)]
+        rows = _matrix_series(ring, B, True, "matrix is not unipotent at jet level")
+        return {"Mat": MatVector(ring, element.target, rows)}
     if isinstance(element, Pair):
         out = log_element(element.outer)
         out.update(log_element(element.right))
         return out
     raise TangentError(f"cannot take log of {element.tag}")
-
-
-def _matrix_log(M, ring: JetRing):
-    m = len(M)
-    B = [[M[i][j] - (ring.one if i == j else ring.zero) for j in range(m)]
-         for i in range(m)]
-    total = [[ring.zero for _ in range(m)] for _ in range(m)]
-    power = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
-    for k in range(1, ring.dim + 2):
-        power = matrix_mul(power, B, ring)
-        if all(e.is_zero() for row in power for e in row):
-            return total
-        inv = _series_scalar(ring.field, k)
-        if inv is None:
-            raise TangentError(_FACTORIAL_MSG.format(p=ring.field.char, k=k))
-        sign = inv if k % 2 == 1 else -inv
-        total = [[total[i][j] + power[i][j].scale(sign) for j in range(m)]
-                 for i in range(m)]
-    raise TangentError("matrix is not unipotent at jet level")
 
 
 def exp_combination(tag: str, parts: dict, source: JetRing,
@@ -404,17 +378,22 @@ def _least_gain(source: JetRing, filt: Filtration, pairs) -> float:
                default=float("inf"))
 
 
+def _vector(kind: str, comps, source, target, joint) -> _Derivation:
+    """The R, L or C tangent vector with coefficients ``comps`` (jets of
+    ``source``, ``target`` or ``joint``)."""
+    if kind == "R":
+        return DerVector(source, comps)
+    if kind == "L":
+        return TargetDerVector(target, comps)
+    return ContactVector(source, target, comps, joint=joint)
+
+
 def _slots(kind: str, jet: Jet, m: int, source, target, joint):
     """The candidate vectors of a kind that carry ``jet`` in one slot."""
     zero = jet.ring.zero
     for slot in range(m):
-        comps = [jet if l == slot else zero for l in range(m)]
-        if kind == "R":
-            yield DerVector(source, comps)
-        elif kind == "L":
-            yield TargetDerVector(target, comps)
-        else:
-            yield ContactVector(source, target, comps, joint=joint)
+        yield _vector(kind, [jet if l == slot else zero for l in range(m)],
+                      source, target, joint)
 
 
 def _candidates(kind: str, source: JetRing, target: JetRing,
@@ -458,7 +437,7 @@ def _candidates(kind: str, source: JetRing, target: JetRing,
             base = tuple(w[:nsrc]) + (0,) * (source.nx - nsrc) + tuple(w[nsrc + m:])
             level = _least_gain(source, filt, (
                 (_mon_mul(base, nu), d) for d in depths
-                for nu in (filt.product_set(e, d) if e >= 1 else (source.unit_mon,))))
+                for nu in filt.product_set(e, d)))
             jet = ring.jet({w: ring.domain.one})
             out.extend((level, vec) for vec in _slots(kind, jet, m, source, target, joint))
     return out

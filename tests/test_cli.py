@@ -147,6 +147,21 @@ def test_prime_field_above_the_limit_reports_the_line(tmp_path):
     assert code == 1 and not rep["ok"] and rep["line"] == 2
 
 
+def test_a_source_change_with_a_parameter_only_term_reports_the_line(tmp_path):
+    path = tmp_path / "family.germ"
+    path.write_text("field Q\n"
+                    "jet 3\n"
+                    "tjet 2 vars: t\n"
+                    "source vars: x ideal: ()\n"
+                    "target vars: u ideal: ()\n"
+                    "map f = (x^2)\n"
+                    "aut P = (x+t)\n")
+    rep, code = execute(["act", "--session", str(path), "--group", "R", "--elem", "P",
+                         "--map", "f"])
+    assert code == 1 and not rep["ok"] and rep["line"] == 7
+    assert "parameter-only term" in rep["error"]
+
+
 def test_canonical_form_is_a_parse_fixed_point():
     rich = parse_session(RICH)
     canon = rich.canonical()

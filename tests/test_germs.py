@@ -146,7 +146,7 @@ def test_contact_element_on_a_smooth_target():
     fc = MapGerm(XC, YC, [XC.from_expr("x^2")])
     cf = C.act(fc)
     assert str(cf.components[0]) == "x^2+x^3"
-    D = C.fiber_inverse()
+    D = C.inverse()
     assert C.compose(D).is_identity()
     assert D.compose(C).is_identity()
     assert D.act(cf) == fc
@@ -158,6 +158,17 @@ def test_contact_must_vanish_on_the_zero_section():
     joint = product_ring(XC, YC)
     with pytest.raises(GermError, match="zero section"):
         Contact(XC, YC, [joint.from_expr("x + y")])
+
+
+def test_coordinate_changes_must_fix_the_origin_for_every_parameter():
+    # x -> x + t moves the origin off itself at t != 0: no group element
+    XT = JetRing(Q, ["x"], 3, tvars=["t"], torder=2)
+    for cls in (RightAut, LeftAut):
+        with pytest.raises(GermError, match="'x' has a parameter-only term"):
+            cls(XT, [XT.from_expr("x + t")])
+        with pytest.raises(GermError, match="'x' has a constant term"):
+            cls(XT, [XT.from_expr("x + t + 1")])
+        cls(XT, [XT.from_expr("x + t*x + x^2")])
 
 
 def test_contact_pair_round_trip():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from germ.exactfield import is_pth_power, make_extension, make_field
 from germ.jets import JetRing, filtration_make
 from germ.germs import (
+    GermError,
     MapGerm,
     extend_map,
     extend_ring,
@@ -470,23 +471,49 @@ def test_a_nonzero_constant_equation_has_no_solutions():
 LAYOUT_GROUPS = {"R": ("R", "right"), "L": ("L", "left"), "Mat": ("Klin", "mat"),
                  "C": ("C", "contact")}
 PLANE = JetRing(Q, ["x", "y"], 2)
-LAYOUT_CASES = (
-    [(kind, JetRing(Q, ["u", "v"], 2), ("x^2", "y^2")) for kind in LAYOUT_GROUPS]
-    + [(kind, JetRing(Q, ["u", "v"], 2, ideal=[{(1, 1): Q.one}]), ("x^2", "0"))
-       for kind in ("R", "L", "C")]
-)
+# (source, target, map) of each shape: smooth, a singular target (the axes
+# uv = 0), one variable, a family over t, and a singular source (xy = y^2)
+LAYOUT_SHAPES = {
+    "smooth": (PLANE, JetRing(Q, ["u", "v"], 2), ("x^2", "y^2")),
+    "uv": (PLANE, JetRing(Q, ["u", "v"], 2, ideal=[{(1, 1): Q.one}]), ("x^2", "0")),
+    "line": (JetRing(Q, ["x"], 3), JetRing(Q, ["u"], 3), ("x^2",)),
+    "family": (JetRing(Q, ["x"], 2, tvars=["t"], torder=1),
+               JetRing(Q, ["u"], 2, tvars=["t"], torder=1), ("x^2 + t*x",)),
+    "quotient": (JetRing(Q, ["x", "y"], 2, ideal=[{(1, 1): Q.one, (0, 2): -Q.one}]),
+                 JetRing(Q, ["u"], 2), ("x^2",)),
+}
+LAYOUT_CASES = [(kind, shape) for shape in LAYOUT_SHAPES for kind in LAYOUT_GROUPS
+                if not (kind == "Mat" and shape == "uv")]
 
 
-@pytest.mark.parametrize("kind,target,comps", LAYOUT_CASES,
-                         ids=[f"{c[0]}-{'smooth' if not c[1].ideal_gens else 'uv'}"
-                              for c in LAYOUT_CASES])
-def test_factor_layout_agrees_with_its_readers(kind, target, comps):
-    ring, identity, mons, build = factor_layout(kind, PLANE, target)
+@pytest.mark.parametrize("kind,shape", LAYOUT_CASES,
+                         ids=[f"{kind}-{shape}" for kind, shape in LAYOUT_CASES])
+def test_factor_layout_agrees_with_its_readers(kind, shape):
+    source, target, comps = LAYOUT_SHAPES[shape]
+    ring, identity, mons, build = factor_layout(kind, source, target)
     size = len(identity) * len(mons)
-    assert build(identity, True) == factor_identity(kind, PLANE, target)
+    assert build(identity, True) == factor_identity(kind, source, target)
+
+    # a substitution's terms are the monomials with a changed variable in
+    # them (a matrix takes every monomial), and the validity rule refuses a
+    # term exactly off them; on a layout monomial it may refuse only a
+    # moved ideal generator
+    if kind == "Mat":
+        assert mons == list(ring.monomials)
+    else:
+        changed = [ring.var_index[n] for n in (source if kind == "R" else target).xvars]
+        assert mons == [mon for mon in ring.monomials if any(mon[i] for i in changed)]
+    for mon in ring.monomials:
+        jets = [identity[0] + ring.monomial(mon)] + list(identity[1:])
+        try:
+            build(jets, True)
+        except GermError as e:
+            assert mon not in mons or "ideal" in str(e), (ring.mon_str(mon), str(e))
+        else:
+            assert mon in mons, ring.mon_str(mon)
 
     tag, part = LAYOUT_GROUPS[kind]
-    f = germ_map(PLANE, target, *comps)
+    f = germ_map(source, target, *comps)
     unknowns = compile_system(tag, f, f).provenance["unknown_factors"][part]
     m = target.nx
     positions = [[k // m, k % m] if kind == "Mat" else k for k in range(len(identity))]
@@ -494,6 +521,6 @@ def test_factor_layout_agrees_with_its_readers(kind, target, comps):
                                          for k in range(len(identity)) for mon in mons]
     assert len(unknowns) == size
 
-    cands = _candidates(kind, PLANE, target, product_ring(PLANE, target),
-                        filtration_make(PLANE, "madic"))
+    cands = _candidates(kind, source, target, product_ring(source, target),
+                        filtration_make(source, "madic"))
     assert len(cands) == size

@@ -23,3 +23,24 @@ def test_every_module_level_import_is_used(module):
               for alias in node.names
               if (alias.asname or alias.name.split(".")[0]) not in used]
     assert not unused, f"{module} imports names it never uses: {', '.join(unused)}"
+
+
+def test_every_private_definition_is_referenced():
+    # a private function, class or method that nothing in the package names
+    # is dead code: names are read off Name and Attribute nodes, so a method
+    # reached through a subclass or by import counts
+    defined, used = [], set()
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=module)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = node.name
+                if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                    defined.append((name, f"{module}:{node.lineno}"))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    orphans = [f"{name} ({where})" for name, where in defined if name not in used]
+    assert not orphans, f"private definitions never referenced: {', '.join(orphans)}"
