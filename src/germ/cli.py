@@ -255,16 +255,19 @@ class Session:
         }
 
 
-def _claim_name(sess: Session, name: str, kind: str, line: int):
+# The session helpers below raise ValueError (FieldError, JetError, GermError,
+# ExprError and the rest all subclass it); parse_session turns each into one
+# SessionError at the offending line.
+
+def _claim_name(sess: Session, name: str, kind: str):
     if not name.isidentifier():
-        raise SessionError(f"bad name {name!r}", line)
+        raise ValueError(f"bad name {name!r}")
     if name in sess._names:
-        raise SessionError(
-            f"name {name!r} already declared as a {sess._names[name]}", line)
+        raise ValueError(f"name {name!r} already declared as a {sess._names[name]}")
     sess._names[name] = kind
 
 
-def _require(sess: Session, what: str, line: int):
+def _require(sess: Session, what: str):
     missing = {
         "field": sess.field is None,
         "jet": sess.order is None,
@@ -272,39 +275,22 @@ def _require(sess: Session, what: str, line: int):
         "target": sess.target is None,
     }
     if missing.get(what, False):
-        raise SessionError(f"'{what}' must be declared first", line)
+        raise ValueError(f"'{what}' must be declared first")
 
 
-def _expr_in(ring: JetRing, text: str, line: int):
-    try:
-        return ring.from_expr(text)
-    except ExprError as e:
-        raise SessionError(str(e), line, getattr(e, "col", None))
-    except (JetError, FieldError) as e:
-        raise SessionError(str(e), line)
-
-
-def _build_ring(sess: Session, xvars, gen_texts, line: int) -> JetRing:
-    try:
-        plain = JetRing(sess.field, xvars, sess.order,
-                        tvars=sess.tvars, torder=sess.torder)
-    except JetError as e:
-        raise SessionError(str(e), line)
+def _build_ring(sess: Session, xvars, gen_texts) -> JetRing:
+    plain = JetRing(sess.field, xvars, sess.order, tvars=sess.tvars, torder=sess.torder)
     if not gen_texts:
         return plain
-    gens = [_expr_in(plain, t, line) for t in gen_texts]
-    try:
-        return JetRing(sess.field, xvars, sess.order,
-                       ideal=[dict(g.coeffs) for g in gens],
-                       tvars=sess.tvars, torder=sess.torder)
-    except JetError as e:
-        raise SessionError(str(e), line)
+    gens = [plain.from_expr(t) for t in gen_texts]
+    return JetRing(sess.field, xvars, sess.order, ideal=[dict(g.coeffs) for g in gens],
+                   tvars=sess.tvars, torder=sess.torder)
 
 
-def _germ_space_clause(rest: str, line: int):
+def _germ_space_clause(rest: str):
     """Split ``vars: x y ideal: (...)`` into names and generator texts."""
     if not rest.startswith("vars:"):
-        raise SessionError("expected 'vars:' after the space keyword", line)
+        raise ValueError("expected 'vars:' after the space keyword")
     rest = rest[len("vars:"):]
     if "ideal:" in rest:
         var_part, _, ideal_part = rest.partition("ideal:")
@@ -312,30 +298,142 @@ def _germ_space_clause(rest: str, line: int):
         var_part, ideal_part = rest, None
     names = var_part.split()
     if not names:
-        raise SessionError("at least one variable is required", line)
-    if ideal_part is None:
-        return names, []
-    try:
-        gens = _split_tuple(ideal_part)
-    except ValueError as e:
-        raise SessionError(str(e), line)
-    return names, gens
+        raise ValueError("at least one variable is required")
+    return names, [] if ideal_part is None else _split_tuple(ideal_part)
 
 
-def _aut_side(sess: Session, comp_texts, line: int) -> str:
+def _aut_side(sess: Session, comp_texts) -> str:
     used = set()
     for t in comp_texts:
-        try:
-            used |= set(names_in(parse_expr(t, line=1, col=1)))
-        except ExprError as e:
-            raise SessionError(str(e), line, getattr(e, "col", None))
+        used |= set(names_in(parse_expr(t, line=1, col=1)))
     used -= set(sess.field.generator_env())
     if used <= set(sess.source.variables):
         return "source"
     if used <= set(sess.target.variables):
         return "target"
-    raise SessionError(
-        "coordinate change mixes source and target variables", line)
+    raise ValueError("coordinate change mixes source and target variables")
+
+
+def _directive(sess: Session, keyword: str, rest: str) -> None:
+    """Apply one session line, ``keyword rest``, to ``sess``."""
+    if keyword == "field":
+        if sess.field is not None:
+            raise ValueError("field already declared")
+        sess.field = make_field(rest)
+
+    elif keyword == "extend":
+        _require(sess, "field")
+        if sess.ext is not None:
+            raise ValueError("extension already declared")
+        sess.ext = make_extension(sess.field, rest)
+
+    elif keyword == "jet":
+        if sess.order is not None:
+            raise ValueError("jet order already declared")
+        try:
+            sess.order = int(rest)
+        except ValueError:
+            raise ValueError(f"jet order must be an integer, got {rest!r}") from None
+        if sess.order < 1:
+            raise ValueError("jet order must be at least 1")
+
+    elif keyword == "tjet":
+        if sess.source is not None:
+            raise ValueError("tjet must come before the germ spaces")
+        parts = rest.split()
+        if not parts:
+            raise ValueError("tjet needs a truncation order")
+        try:
+            sess.torder = int(parts[0])
+        except ValueError:
+            raise ValueError(f"parameter order must be an integer, got {parts[0]!r}") from None
+        if sess.torder < 1:
+            raise ValueError("parameter order must be at least 1")
+        if len(parts) > 1:
+            if parts[1] != "vars:" or len(parts) < 3:
+                raise ValueError("expected 'vars:' and names after the order")
+            sess.tvars = tuple(parts[2:])
+        else:
+            sess.tvars = ("t",)
+
+    elif keyword in ("source", "target"):
+        _require(sess, "field")
+        _require(sess, "jet")
+        if getattr(sess, keyword) is not None:
+            raise ValueError(f"{keyword} already declared")
+        names, gen_texts = _germ_space_clause(rest)
+        other = sess.target if keyword == "source" else sess.source
+        if other is not None:
+            clash = set(names) & set(other.xvars)
+            if clash:
+                raise ValueError(f"source and target share variable names {sorted(clash)}")
+            if set(names) & set(sess.tvars) or set(other.xvars) & set(sess.tvars):
+                raise ValueError("germ variables clash with parameters")
+        setattr(sess, keyword, _build_ring(sess, names, gen_texts))
+
+    elif keyword == "filtration":
+        name, eq, spec = rest.partition("=")
+        name = name.strip()
+        spec = spec.strip()
+        if not eq:
+            raise ValueError("expected 'filtration NAME = SPEC'")
+        _require(sess, "source")
+        _claim_name(sess, name, "filtration")
+        if spec in ("madic", "tadic"):
+            payload = (spec, None)
+            arg = spec
+        elif spec.startswith("chain[") and spec.endswith("]"):
+            groups = [_split_tuple(part) for part in spec[len("chain["):-1].split(";")]
+            canon = [[str(sess.source.from_expr(g)) for g in grp] for grp in groups]
+            payload = ("chain", canon)
+            arg = groups
+        else:
+            raise ValueError(f"unknown filtration spec {spec!r} "
+                             "(expected madic, tadic, or chain[(...);(...)])")
+        sess.filtrations[name] = filtration_make(sess.source, arg)
+        sess.filt_specs[name] = payload
+
+    elif keyword in ("map", "aut", "contact"):
+        name, eq, body = rest.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ValueError(f"expected '{keyword} NAME = (...)'")
+        comp_texts = _split_tuple(body)
+        _require(sess, "source")
+        _require(sess, "target")
+        _claim_name(sess, name, keyword)
+        if keyword == "map":
+            comps = [sess.source.from_expr(t) for t in comp_texts]
+            sess.maps[name] = MapGerm(sess.source, sess.target, comps)
+        else:
+            kind = "C"
+            if keyword == "aut":
+                sess.aut_sides[name] = _aut_side(sess, comp_texts)
+                kind = "R" if sess.aut_sides[name] == "source" else "L"
+            ring, _, _, build = factor_layout(
+                kind, sess.source, sess.target,
+                sess.joint_ring() if kind == "C" else None)
+            element = build([ring.from_expr(t) for t in comp_texts], True)
+            (sess.contacts if kind == "C" else sess.auts)[name] = element
+
+    elif keyword == "vf":
+        name, eq, body = rest.partition("=")
+        name = name.strip()
+        if not eq:
+            raise ValueError("expected 'vf NAME = expr d/dx + ...'")
+        _require(sess, "source")
+        _claim_name(sess, name, "vector field")
+        terms = _parse_vf_terms(body)
+        comps = [sess.source.zero] * sess.source.nx
+        for coeff_text, var in terms:
+            if var not in sess.source.xvars:
+                raise ValueError(f"d/d{var} is not a source variable")
+            i = sess.source.xvars.index(var)
+            comps[i] = comps[i] + sess.source.from_expr(coeff_text)
+        sess.vfs[name] = DerVector(sess.source, comps)
+
+    else:
+        raise ValueError(f"unknown directive {keyword!r}")
 
 
 def parse_session(text: str) -> Session:
@@ -347,156 +445,10 @@ def parse_session(text: str) -> Session:
         if not line or line.startswith("#"):
             continue
         keyword, _, rest = line.partition(" ")
-        rest = rest.strip()
-
-        if keyword == "field":
-            if sess.field is not None:
-                raise SessionError("field already declared", n)
-            try:
-                sess.field = make_field(rest)
-            except FieldError as e:
-                raise SessionError(str(e), n)
-
-        elif keyword == "extend":
-            _require(sess, "field", n)
-            if sess.ext is not None:
-                raise SessionError("extension already declared", n)
-            try:
-                sess.ext = make_extension(sess.field, rest)
-            except FieldError as e:
-                raise SessionError(str(e), n)
-
-        elif keyword == "jet":
-            if sess.order is not None:
-                raise SessionError("jet order already declared", n)
-            try:
-                sess.order = int(rest)
-            except ValueError:
-                raise SessionError(f"jet order must be an integer, got {rest!r}", n)
-            if sess.order < 1:
-                raise SessionError("jet order must be at least 1", n)
-
-        elif keyword == "tjet":
-            if sess.source is not None:
-                raise SessionError("tjet must come before the germ spaces", n)
-            parts = rest.split()
-            if not parts:
-                raise SessionError("tjet needs a truncation order", n)
-            try:
-                sess.torder = int(parts[0])
-            except ValueError:
-                raise SessionError(
-                    f"parameter order must be an integer, got {parts[0]!r}", n)
-            if sess.torder < 1:
-                raise SessionError("parameter order must be at least 1", n)
-            if len(parts) > 1:
-                if parts[1] != "vars:" or len(parts) < 3:
-                    raise SessionError("expected 'vars:' and names after the order", n)
-                sess.tvars = tuple(parts[2:])
-            else:
-                sess.tvars = ("t",)
-
-        elif keyword in ("source", "target"):
-            _require(sess, "field", n)
-            _require(sess, "jet", n)
-            if getattr(sess, keyword) is not None:
-                raise SessionError(f"{keyword} already declared", n)
-            names, gen_texts = _germ_space_clause(rest, n)
-            other = sess.target if keyword == "source" else sess.source
-            if other is not None:
-                clash = set(names) & set(other.xvars)
-                if clash:
-                    raise SessionError(
-                        f"source and target share variable names {sorted(clash)}", n)
-                if set(names) & set(sess.tvars) or (
-                        other is not None and set(other.xvars) & set(sess.tvars)):
-                    raise SessionError("germ variables clash with parameters", n)
-            setattr(sess, keyword, _build_ring(sess, names, gen_texts, n))
-
-        elif keyword == "filtration":
-            name, eq, spec = rest.partition("=")
-            name = name.strip()
-            spec = spec.strip()
-            if not eq:
-                raise SessionError("expected 'filtration NAME = SPEC'", n)
-            _require(sess, "source", n)
-            _claim_name(sess, name, "filtration", n)
-            if spec in ("madic", "tadic"):
-                payload = (spec, None)
-                arg = spec
-            elif spec.startswith("chain[") and spec.endswith("]"):
-                groups = []
-                for part in spec[len("chain["):-1].split(";"):
-                    try:
-                        groups.append(_split_tuple(part))
-                    except ValueError as e:
-                        raise SessionError(str(e), n)
-                canon = [[str(_expr_in(sess.source, g, n)) for g in grp]
-                         for grp in groups]
-                payload = ("chain", canon)
-                arg = groups
-            else:
-                raise SessionError(
-                    f"unknown filtration spec {spec!r} "
-                    "(expected madic, tadic, or chain[(...);(...)])", n)
-            try:
-                filt = filtration_make(sess.source, arg)
-            except JetError as e:
-                raise SessionError(str(e), n)
-            sess.filtrations[name] = filt
-            sess.filt_specs[name] = payload
-
-        elif keyword in ("map", "aut", "contact"):
-            name, eq, body = rest.partition("=")
-            name = name.strip()
-            if not eq:
-                raise SessionError(f"expected '{keyword} NAME = (...)'", n)
-            try:
-                comp_texts = _split_tuple(body)
-            except ValueError as e:
-                raise SessionError(str(e), n)
-            _require(sess, "source", n)
-            _require(sess, "target", n)
-            _claim_name(sess, name, keyword, n)
-            try:
-                if keyword == "map":
-                    comps = [_expr_in(sess.source, t, n) for t in comp_texts]
-                    sess.maps[name] = MapGerm(sess.source, sess.target, comps)
-                else:
-                    kind = "C"
-                    if keyword == "aut":
-                        sess.aut_sides[name] = _aut_side(sess, comp_texts, n)
-                        kind = "R" if sess.aut_sides[name] == "source" else "L"
-                    ring, _, _, build = factor_layout(
-                        kind, sess.source, sess.target,
-                        sess.joint_ring() if kind == "C" else None)
-                    element = build([_expr_in(ring, t, n) for t in comp_texts], True)
-                    (sess.contacts if kind == "C" else sess.auts)[name] = element
-            except GermError as e:
-                raise SessionError(str(e), n)
-
-        elif keyword == "vf":
-            name, eq, body = rest.partition("=")
-            name = name.strip()
-            if not eq:
-                raise SessionError("expected 'vf NAME = expr d/dx + ...'", n)
-            _require(sess, "source", n)
-            _claim_name(sess, name, "vector field", n)
-            try:
-                terms = _parse_vf_terms(body)
-            except ValueError as e:
-                raise SessionError(str(e), n)
-            comps = [sess.source.zero] * sess.source.nx
-            for coeff_text, var in terms:
-                if var not in sess.source.xvars:
-                    raise SessionError(
-                        f"d/d{var} is not a source variable", n)
-                i = sess.source.xvars.index(var)
-                comps[i] = comps[i] + _expr_in(sess.source, coeff_text, n)
-            sess.vfs[name] = DerVector(sess.source, comps)
-
-        else:
-            raise SessionError(f"unknown directive {keyword!r}", n)
+        try:
+            _directive(sess, keyword, rest.strip())
+        except ValueError as e:
+            raise SessionError(str(e), n, getattr(e, "col", None)) from None
 
     for what in ("field", "jet", "source", "target"):
         if getattr(sess, {"field": "field", "jet": "order",

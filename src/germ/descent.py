@@ -58,8 +58,7 @@ class DescentProblem:
     filtration and level, and optionally the extension witness."""
 
     def __init__(self, tag: str, f: MapGerm, f_tilde: MapGerm, filt: Filtration,
-                 level: int, ext=None, witness: Optional[GroupElement] = None,
-                 check_witness: bool = True):
+                 level: int, ext=None, witness: Optional[GroupElement] = None):
         if level < 1:
             raise DescentError("descent needs level at least 1")
         if f.source != f_tilde.source or f.target != f_tilde.target:
@@ -73,7 +72,7 @@ class DescentProblem:
         self.level = level
         self.ext = ext
         self.witness = witness
-        if witness is not None and check_witness:
+        if witness is not None:
             self._check_witness()
 
     def _check_witness(self):
@@ -257,8 +256,7 @@ def element_t_slice(element: GroupElement) -> GroupElement:
 
 
 def family_trivialize(tag: str, f_family: MapGerm, ext=None,
-                      witness: Optional[GroupElement] = None,
-                      check_witness: bool = True) -> DescentCertificate:
+                      witness: Optional[GroupElement] = None) -> DescentCertificate:
     """A base-field element carrying the family to its central fiber.
 
     ``witness`` trivializes the family over the extension: acting on the
@@ -281,8 +279,7 @@ def family_trivialize(tag: str, f_family: MapGerm, ext=None,
         # identity at parameter zero
         gprime = h.inverse().compose(witness)
         descent_witness = gprime.inverse()
-    problem = DescentProblem(tag, f0, f_family, tadic, 1, ext=ext,
-                             witness=descent_witness, check_witness=check_witness)
+    problem = DescentProblem(tag, f0, f_family, tadic, 1, ext=ext, witness=descent_witness)
     cert = descend(problem)
     g = cert.witness.inverse()
     report = verify_witness(g, f_family, f0)

@@ -13,17 +13,19 @@ is literal equality of the reps:
   folds the high coefficients of the schoolbook product back with reduction
   rows a^(d+k) mod minpoly (k = 0..d-2), built once per field; an inverse
   runs extended Euclid on raw reps;
-* ``FunctionField(p, s)`` — rational functions over F_p, stored as a reduced
-  fraction of dense int coefficient tuples with monic denominator.  These
-  exist solely to realize imperfect-field phenomena; they cannot be
-  extended.
+* ``FunctionField(base, s)`` — rational functions in s over any of these
+  fields, stored as a reduced fraction of dense coefficient tuples of raw
+  base reps with monic denominator.  ``make_field`` builds them over F_p
+  only, to realize imperfect-field phenomena, and they cannot be extended;
+  over any base they are where minimal-polynomial text is evaluated.
 
 Every field does its arithmetic on raw reps (``_add``, ``_neg``, ``_mul``,
 ``_inv``, ``_is_zero`` and the raw constants ``_zero``, ``_one``), and
 ``FieldElem`` wraps the results.  One set of dense univariate polynomial
 helpers (``poly_*``) works on tuples of raw reps over any such field; it
-serves extension fields, minimal-polynomial parsing, the irreducibility
-test, and over ``PrimeField(p)`` the rational function fields.
+serves extension fields, the irreducibility test and the rational function
+fields.  ``power`` is the one square-and-multiply loop of scalars, jets and
+polynomials in unknowns.
 
 Minimal polynomials are checked for irreducibility: over finite fields by
 Rabin's test, over the rationals by Zassenhaus's big-prime test (factor
@@ -126,6 +128,19 @@ def _prime_above(n: int) -> int:
         h += 1
 
 
+def power(base, n: int, one):
+    """base ** n for n >= 0 by square-and-multiply, ``one`` the unit of its
+    ring: the one power loop of scalars, jets and polynomials."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if result is None else result
+
+
 class FieldElem:
     """An element of one of the fields below; thin wrapper over (field, rep)."""
 
@@ -200,15 +215,8 @@ class FieldElem:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+            return power(self.inverse(), -n, self.field.one)
+        return power(self, n, self.field.one)
 
     def is_zero(self) -> bool:
         return self.field._is_zero(self.rep)
@@ -650,18 +658,17 @@ class ExtensionField(Field):
 
 
 class FunctionField(Field):
-    """Rational functions F_p(s), reduced with monic denominator."""
+    """Rational functions base(var), reduced with monic denominator."""
 
-    def __init__(self, p: int, var: str):
-        self._fp = PrimeField(p)
-        self.char = p
-        self.p = p
+    def __init__(self, base: Field, var: str):
+        self.base = base
         self.var = var
-        self._zero = ((), (1,))
-        self._one = ((1,), (1,))
+        self.char = base.char
+        self._zero = ((), (base._one,))
+        self._one = ((base._one,), (base._one,))
 
     def _canon(self, num, den):
-        F = self._fp
+        F = self.base
         num, den = poly_trim(num, F), poly_trim(den, F)
         if not den:
             raise ZeroDivisionError("zero denominator")
@@ -676,27 +683,33 @@ class FunctionField(Field):
 
     @property
     def generator(self) -> FieldElem:
-        return FieldElem(self, ((0, 1), (1,)))
+        return FieldElem(self, ((self.base._zero, self.base._one), (self.base._one,)))
 
     def from_int(self, n):
-        n %= self.p
-        return FieldElem(self, ((n,) if n else (), (1,)))
+        return self.embed(self.base.from_int(n))
+
+    def embed(self, c: FieldElem) -> FieldElem:
+        if c.field is not self.base and c.field != self.base:
+            raise FieldError("embed: element not in the base field")
+        return FieldElem(self, (poly_trim((c.rep,), self.base), (self.base._one,)))
 
     def generator_env(self):
-        return {self.var: self.generator}
+        env = {name: self.embed(val) for name, val in self.base.generator_env().items()}
+        env[self.var] = self.generator
+        return env
 
     def _add(self, a, b):
-        F = self._fp
+        F = self.base
         (na, da), (nb, db) = a, b
         num = poly_add(poly_mul(na, db, F), poly_mul(nb, da, F), F)
         return self._canon(num, poly_mul(da, db, F))
 
     def _neg(self, a):
         num, den = a
-        return (poly_neg(num, self._fp), den)
+        return (poly_neg(num, self.base), den)
 
     def _mul(self, a, b):
-        F = self._fp
+        F = self.base
         (na, da), (nb, db) = a, b
         return self._canon(poly_mul(na, nb, F), poly_mul(da, db, F))
 
@@ -708,27 +721,27 @@ class FunctionField(Field):
         return not a[0]
 
     def _key(self, a):
-        return a
+        return tuple(tuple(map(self.base._key, c)) for c in a)
 
     def _fmt(self, a):
         num, den = a
-        num_s = _poly_fmt(num, self.var, self._fp)
-        if den == (1,):
+        num_s = _poly_fmt(num, self.var, self.base)
+        if den == (self.base._one,):
             return num_s
-        return f"({num_s})/({_poly_fmt(den, self.var, self._fp)})"
+        return f"({num_s})/({_poly_fmt(den, self.var, self.base)})"
 
     def __eq__(self, other):
         return (
             isinstance(other, FunctionField)
-            and other.p == self.p
+            and other.base == self.base
             and other.var == self.var
         )
 
     def __hash__(self):
-        return hash(("ratfun", self.p, self.var))
+        return hash(("ratfun", self.base, self.var))
 
     def __repr__(self):
-        return f"F{self.p}({self.var})"
+        return f"{self.base!r}({self.var})"
 
 
 def _is_irreducible(minpoly: tuple, base: Field) -> bool:
@@ -845,76 +858,9 @@ def _split_equal_degree(g: tuple, i: int, Fp: PrimeField, rng: random.Random) ->
                     + _split_equal_degree(poly_divmod(g, s, Fp)[0], i, Fp, rng))
 
 
-class _UPoly:
-    """Throwaway univariate polynomial used only to evaluate minpoly text."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field, coeffs):
-        self.field = field
-        self.coeffs = poly_trim(coeffs, field)
-
-    def _coerce(self, other):
-        if isinstance(other, _UPoly):
-            return other
-        if isinstance(other, int):
-            return _UPoly(self.field, (self.field.from_int(other).rep,))
-        if isinstance(other, FieldElem) and other.field == self.field:
-            return _UPoly(self.field, (other.rep,))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _UPoly(self.field, poly_add(self.coeffs, other.coeffs, self.field))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _UPoly(self.field, poly_neg(self.coeffs, self.field))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return _UPoly(self.field, poly_mul(self.coeffs, other.coeffs, self.field))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if len(other.coeffs) > 1:
-            raise FieldError("cannot divide by a non-constant polynomial")
-        if not other.coeffs:
-            raise ZeroDivisionError("division by zero")
-        inv = self.field._inv(other.coeffs[0])
-        return _UPoly(self.field, poly_scale(self.coeffs, inv, self.field))
-
-    def __pow__(self, n):
-        result = _UPoly(self.field, (self.field._one,))
-        for _ in range(n):
-            result = result * self
-        return result
-
-
 def _parse_upoly(field: Field, text: str, var: Optional[str] = None):
-    """Parse univariate polynomial text over ``field``; returns (var, raw
-    coefficient tuple)."""
+    """Parse univariate polynomial text over ``field``, evaluated in
+    ``FunctionField(field, var)``; returns (var, raw coefficient tuple)."""
     ast = expr.parse(text)
     reserved = field.generator_env()
     names = [n for n in expr.names_in(ast) if n not in reserved]
@@ -926,14 +872,11 @@ def _parse_upoly(field: Field, text: str, var: Optional[str] = None):
         var = names[0]
     elif names and names != [var]:
         raise FieldError(f"unexpected names {names} in {text!r}")
-    env = {name: _UPoly(field, (value.rep,)) for name, value in reserved.items()}
-    env[var] = _UPoly(field, (field._zero, field._one))
-    value = expr.evaluate(ast, env, lambda n: _UPoly(field, (field.from_int(n).rep,)))
-    if isinstance(value, FieldElem):
-        value = _UPoly(field, (value.rep,))
-    if not isinstance(value, _UPoly):
-        raise FieldError(f"not a polynomial: {text!r}")
-    return var, value.coeffs
+    K = FunctionField(field, var)
+    num, den = expr.evaluate(ast, K.generator_env(), K.from_int).rep
+    if den != (field._one,):
+        raise FieldError("cannot divide by a non-constant polynomial")
+    return var, num
 
 
 class Extension:
@@ -1018,7 +961,7 @@ def make_field(text: str) -> Field:
             p = int(head[1:])
         except ValueError:
             raise FieldError(f"malformed field description: {text!r}") from None
-        return FunctionField(p, var)
+        return FunctionField(PrimeField(p), var)
     if text.startswith("F"):
         try:
             p = int(text[1:])
@@ -1043,13 +986,13 @@ def is_pth_power(e: FieldElem, p: int) -> Optional[FieldElem]:
         raise FieldError(f"field has characteristic {field.char}, not {p}")
     if field.is_finite():
         root = e ** (field.size() // p)
-    elif isinstance(field, FunctionField):
+    elif isinstance(field, FunctionField) and isinstance(field.base, PrimeField):
         num, den = e.rep
 
         def poly_root(c):
             if any(v and (i % p) for i, v in enumerate(c)):
                 return None
-            return poly_trim([c[i] for i in range(0, len(c), p)], field._fp)
+            return poly_trim([c[i] for i in range(0, len(c), p)], field.base)
 
         rnum = poly_root(num)
         rden = poly_root(den)

@@ -148,37 +148,6 @@ def parse(text: str, line: int = 1, col: int = 1):
     return node
 
 
-def parse_tuple(text: str, line: int = 1, col: int = 1):
-    """Parse a comma-separated list of expressions, with or without parens."""
-    tokens = tokenize(text, line, col)
-    parser = _Parser(tokens)
-    wrapped = parser.peek()[0] == "("
-    # A leading '(' is ambiguous: grouping or tuple syntax.  Try the tuple
-    # reading first and fall back to a single parenthesized expression.
-    if wrapped:
-        save = parser.pos
-        parser.next()
-        items = [parser.parse_expr()]
-        if parser.peek()[0] == ",":
-            while parser.peek()[0] == ",":
-                parser.next()
-                items.append(parser.parse_expr())
-            parser.expect(")")
-            tail = parser.peek()
-            if tail[0] != "end":
-                raise ExprError(f"unexpected trailing token {tail[1]!r}", tail[2], tail[3])
-            return items
-        parser.pos = save
-    items = [parser.parse_expr()]
-    while parser.peek()[0] == ",":
-        parser.next()
-        items.append(parser.parse_expr())
-    tail = parser.peek()
-    if tail[0] != "end":
-        raise ExprError(f"unexpected trailing token {tail[1]!r}", tail[2], tail[3])
-    return items
-
-
 def evaluate(node, env: dict, make_int: Callable[[int], Any]):
     """Evaluate an AST against ``env``; integer literals go through make_int."""
     kind = node[0]

@@ -19,7 +19,7 @@ from operator import add
 from typing import Iterable, Optional, Sequence
 
 from . import expr
-from .exactfield import Field, FieldElem
+from .exactfield import Field, FieldElem, power
 
 
 class JetError(ValueError):
@@ -37,7 +37,8 @@ def _mon_mul(a, b):
 # -- the term-dict kernel -----------------------------------------------------
 # Jets, polynomials in unknowns and sparse matrix rows are all dicts from a
 # key (a monomial or a vector position) to a nonzero coefficient; these are
-# their one add loop, one multiply loop and one power loop.
+# their one add loop and one multiply loop (the one power loop is
+# ``exactfield.power``).
 
 def add_terms(out: dict, terms: dict, a=None) -> dict:
     """out += a * terms in place (``a=None`` means 1), dropping the entries
@@ -67,18 +68,6 @@ def mul_terms(p: dict, q: dict, keep=None) -> dict:
                 old = get(mon)
                 out[mon] = c1 * c2 if old is None else old + c1 * c2
     return {m: c for m, c in out.items() if not c.is_zero()}
-
-
-def power(base, n: int, one):
-    """base ** n by square-and-multiply, ``one`` the unit of its ring."""
-    result = None
-    while n:
-        if n & 1:
-            result = base if result is None else result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return one if result is None else result
 
 
 def _mon_divides(a, b):

@@ -20,12 +20,12 @@ import itertools
 from typing import Optional, Sequence
 
 from .exactfield import (
-    Field, FieldElem, Rationals, PrimeField, ExtensionField, Extension,
+    Field, FieldElem, Rationals, PrimeField, ExtensionField, Extension, power,
 )
 from . import expr
 from .jets import (
     Jet, JetRing, Filtration, filtration_make, _mon_divides, mon_str,
-    add_terms, mul_terms, power,
+    add_terms, mul_terms,
 )
 from .germs import (
     GROUP_FACTORS, MapGerm, Pair, GermError, factor_layout, identity_element,

@@ -222,14 +222,16 @@ class ContactVector(_Derivation):
                        validate=False)
 
 
-def _series_terms(ring: JetRing, start, step, is_zero, log: bool, bound_msg: str):
+def _series_terms(ring: JetRing, start, step, is_zero, log: bool, bound_msg: str,
+                  size: int = 1):
     """The pairs (c_k, T^k(start)) of a series in a nilpotent operator
-    T = ``step``, up to the first k with T^k(start) zero: c_k = 1/k! from
-    k = 0 (exp, c_0 = 1 given as None), or (-1)^(k+1)/k from k = 1 (``log``).
+    T = ``step`` on ``size`` jets of ``ring``, up to the first k with
+    T^k(start) zero: c_k = 1/k! from k = 0 (exp, c_0 = 1 given as None), or
+    (-1)^(k+1)/k from k = 1 (``log``).
 
     Each k checks, in order: T^k(start) zero (the sum is complete),
-    k > dim + 1 (``bound_msg``: on a jet of ``ring`` a nilpotent T is zero
-    by then), and c_k infinite in the characteristic.
+    k > size * dim + 1 (``bound_msg``: on a space of that dimension a
+    nilpotent T is zero by then), and c_k infinite in the characteristic.
     """
     if not log:
         yield None, start
@@ -238,7 +240,7 @@ def _series_terms(ring: JetRing, start, step, is_zero, log: bool, bound_msg: str
         term = step(term)
         if is_zero(term):
             return
-        if k > ring.dim + 1:
+        if k > size * ring.dim + 1:
             raise TangentError(bound_msg)
         k_fact *= k
         c = _series_scalar(ring.field, k if log else k_fact)
@@ -248,12 +250,13 @@ def _series_terms(ring: JetRing, start, step, is_zero, log: bool, bound_msg: str
 
 
 def _matrix_series(ring: JetRing, B, log: bool, bound_msg: str):
-    """exp(B), or log(1 + B) for ``log``, of a square jet matrix B."""
+    """exp(B), or log(1 + B) for ``log``, of a square jet matrix B: P -> PB
+    acts on rows of m jets, so B^k may stay nonzero up to k = m * dim."""
     m = len(B)
     one = [[ring.one if i == j else ring.zero for j in range(m)] for i in range(m)]
     terms = list(_series_terms(ring, one, lambda P: matrix_mul(P, B, ring),
                                lambda P: all(e.is_zero() for row in P for e in row),
-                               log, bound_msg))
+                               log, bound_msg, size=m))
     return [[ring.combination((c, P[i][j]) for c, P in terms) for j in range(m)]
             for i in range(m)]
 

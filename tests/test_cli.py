@@ -162,6 +162,23 @@ def test_a_source_change_with_a_parameter_only_term_reports_the_line(tmp_path):
     assert "parameter-only term" in rep["error"]
 
 
+@pytest.mark.parametrize("text, line, column, error", [
+    ("# a syntax error in the minimal polynomial\nfield Q\nextend a^^2-2\n", 3, 3,
+     "line 1, col 3: exponent must be a non-negative integer"),
+    ("field Q\nextend a/0\n", 2, 0,
+     "line 0, col 0: division not available here: inverse of zero"),
+    ("\nfield F3[b]/(b^^2+1)\n", 2, 3,
+     "line 1, col 3: exponent must be a non-negative integer"),
+], ids=["extend-syntax", "extend-divide-by-zero", "field-syntax"])
+def test_expression_errors_in_field_lines_report_the_session_line(tmp_path, text, line,
+                                                                  column, error):
+    path = tmp_path / "bad.germ"
+    path.write_text(text + "jet 2\nsource vars: x\ntarget vars: u\n")
+    rep, code = execute(["session", str(path)])
+    assert code == 1 and not rep["ok"]
+    assert (rep["line"], rep["column"], rep["error"]) == (line, column, error)
+
+
 def test_canonical_form_is_a_parse_fixed_point():
     rich = parse_session(RICH)
     canon = rich.canonical()

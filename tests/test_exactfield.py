@@ -15,6 +15,7 @@ from sympy.polys.domains import QQ, ZZ
 from germ.exactfield import (
     PRIME_LIMIT,
     FieldError,
+    FunctionField,
     _is_prime,
     _prime_above,
     _prime_factors,
@@ -131,6 +132,79 @@ def test_function_field_arithmetic():
     expr = (s + f3s.one) / s
     assert (expr * s) == s + f3s.one
     assert not f3s.is_finite()
+
+
+def test_function_field_strings_and_keys_are_pinned():
+    f3s = make_field("F3(s)")
+    s = f3s.generator
+    e = (s ** 2 + 1) / (s + 2)
+    assert repr(f3s) == "F3(s)" and f3s.base == F3 and f3s.char == 3
+    assert str(e) == "(s^2+1)/(s+2)"
+    assert e.key() == ((1, 0, 1), (2, 1))
+    assert f3s.from_int(4).key() == ((1,), (1,)) and f3s.from_int(3).key() == ((), (1,))
+    assert str(2 * s / (2 * s ** 2 + 2)) == "(s)/(s^2+1)"
+
+
+def test_function_field_over_any_base():
+    qu = FunctionField(Q, "u")
+    u = qu.generator
+    assert repr(qu) == "Q(u)" and qu.char == 0
+    assert (u ** 2 - 1) / (u - 1) == u + 1
+    assert str((u + 1) / (2 * u)) == "((1/2)*u+1/2)/(u)"
+    assert qu.from_int(3) == qu.embed(Q.from_int(3))
+    f9 = make_extension(F3, "b^2+1").top
+    f9c = FunctionField(f9, "c")
+    b, c = f9c.generator_env()["b"], f9c.generator
+    assert b == f9c.embed(f9.generator_env()["b"])
+    assert (c ** 2 + 1) / (c - b) == c + b and f9c.char == 3
+    with pytest.raises(FieldError, match="base field"):
+        qu.embed(F3.one)
+    with pytest.raises(FieldError, match="not supported"):
+        is_pth_power(c ** 3, 3)
+
+
+# The parent's output for minimal-polynomial text, recorded before minimal
+# polynomials were evaluated in FunctionField; the only changes since are
+# marked: a quotient that cancels to a polynomial is accepted, and a zero
+# divisor reads "inverse of zero" as it does for scalars and jets
+MINPOLY_CASES = [
+    ("Q", "a^2-2", ("Q[a]/(a^2-2)", "a^2-2")),
+    ("Q", "a^2/2-1", ("FieldError", "minimal polynomial must be monic")),
+    ("Q", "1/a+a^2", ("FieldError", "cannot divide by a non-constant polynomial")),
+    ("Q", "x+y", ("FieldError", "expected exactly one new variable in 'x+y', found ['x', 'y']")),
+    ("Q", "a^^2", ("ExprError", "line 1, col 3: exponent must be a non-negative integer")),
+    ("Q", "(a^2+a)/(a+1)", ("Q[a]/(a)", "a")),  # changed: was refused
+    ("Q", "a/0", ("ExprError", "line 0, col 0: division not available here: "
+                               "inverse of zero")),  # changed: was "division by zero"
+    ("Q", "2*a^3-4", ("FieldError", "minimal polynomial must be monic")),
+    ("Q", "(a-1)*(a+1)", ("FieldError", "minimal polynomial a^2-1 is reducible")),
+    ("Q", "a^9+a+1", ("FieldError", "minimal polynomial degree must be 1..8")),
+    ("Q", "a-a+1", ("FieldError", "minimal polynomial degree must be 1..8")),
+    ("Q", "a^2+1/2", ("Q[a]/(a^2+1/2)", "a^2+1/2")),
+    ("F3", "a^2+1", ("F3[a]/(a^2+1)", "a^2+1")),
+    ("F3", "a^2-1", ("FieldError", "minimal polynomial a^2+2 is reducible")),
+    ("F3", "a^3-a+1", ("F3[a]/(a^3+2*a+1)", "a^3+2*a+1")),
+    ("F3", "a^2/2+1", ("FieldError", "minimal polynomial must be monic")),
+    ("F3", "a^2+a/a", ("F3[a]/(a^2+1)", "a^2+1")),  # changed: was refused
+    ("F3[b]/(b^2+1)", "c^2+c+b", ("F3[b]/(b^2+1)[c]/(c^2+c+b)", "c^2+c+b")),
+    ("F3[b]/(b^2+1)", "c^2-b", ("FieldError", "minimal polynomial c^2+2*b is reducible")),
+    ("F3[b]/(b^2+1)", "c^2+c/b+1",
+     ("FieldError", "minimal polynomial c^2+2*b*c+1 is reducible")),
+    ("F3[b]/(b^2+1)", "b^2+1",
+     ("FieldError", "expected exactly one new variable in 'b^2+1', found []")),
+    ("F3[b]/(b^2+1)", "c/(b+1)+c^2",
+     ("FieldError", "minimal polynomial c^2+(b+2)*c is reducible")),
+]
+
+
+@pytest.mark.parametrize("base, text, expected", MINPOLY_CASES)
+def test_minimal_polynomial_text_is_pinned(base, text, expected):
+    try:
+        top = make_extension(make_field(base), text).top
+        got = (repr(top), top.minpoly_str())
+    except ValueError as e:
+        got = (type(e).__name__, str(e))
+    assert got == expected
 
 
 def test_pth_power_detection():

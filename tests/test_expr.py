@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from germ.expr import ExprError, eval_str, names_in, parse, parse_tuple
+from germ.expr import ExprError, eval_str, names_in, parse
 
 
 def _eval(text, env=None):
@@ -49,9 +49,3 @@ def test_power_needs_a_literal_integer_exponent():
     with pytest.raises(ExprError):
         _eval("x^y", {"x": Fraction(2), "y": Fraction(2)})
 
-
-def test_tuple_parsing_backtracks_from_grouping():
-    nodes = parse_tuple("(x, y+1, 2*z)")
-    assert len(nodes) == 3
-    single = parse_tuple("(x+1)")
-    assert len(single) == 1

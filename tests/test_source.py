@@ -44,3 +44,18 @@ def test_every_private_definition_is_referenced():
                 used.add(node.attr)
     orphans = [f"{name} ({where})" for name, where in defined if name not in used]
     assert not orphans, f"private definitions never referenced: {', '.join(orphans)}"
+
+
+def test_only_the_three_arithmetic_types_define_multiplication():
+    # scalars, jets and polynomials in unknowns are the package's arithmetic
+    # types; any other class with overloaded arithmetic is a parallel one
+    owners = set()
+    for module in MODULES:
+        with open(os.path.join(SRC, module), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=module)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(item, ast.FunctionDef) and item.name == "__mul__"
+                    for item in node.body):
+                owners.add(node.name)
+    assert owners == {"FieldElem", "Jet", "Poly"}

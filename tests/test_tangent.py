@@ -253,6 +253,24 @@ def test_matrix_log_recovers_the_matrix_vector():
         assert [str(a) for a in got] == [str(b) for b in want]
 
 
+def test_a_matrix_nilpotent_beyond_the_jet_dimension_exponentiates():
+    # B = S + x*I with S the 4x4 shift, at jet 1 (dim 2): B^4 = 4x*S^3 is
+    # nonzero and B^5 = 0, past the dim + 1 bound of an operator on one jet
+    X = JetRing(Q, ["x"], 1)
+    Y4 = JetRing(Q, ["u", "v", "w", "z"], 1)
+    x = X.var("x")
+    rows = [[x if i == j else X.one if j == i + 1 else X.zero for j in range(4)]
+            for i in range(4)]
+    kl = MatVector(X, Y4, rows).exp()
+    assert str(kl.rows[0][3]) == "1/6+(1/6)*x"  # (1 + x) exp(S)
+    back = log_element(kl)["Mat"]
+    assert [[str(e) for e in row] for row in back.rows] == \
+        [[str(e) for e in row] for row in rows]
+    with pytest.raises(TangentError, match="matrix direction is not nilpotent"):
+        MatVector(X, Y4, [[X.one if i == j else X.zero for j in range(4)]
+                          for i in range(4)]).exp()
+
+
 def test_contact_vector_exponentiates_to_a_contact_element():
     X = JetRing(Q, ["x"], 3)
     Y = JetRing(Q, ["y"], 3)
