@@ -19,13 +19,12 @@ import sys
 import time
 from typing import Optional
 
-from .exactfield import FieldError, make_extension, make_field
+from .exactfield import make_extension, make_field
 from .expr import ExprError, names_in, parse as parse_expr
-from .jets import Filtration, JetError, JetRing, filtration_make
+from .jets import Filtration, JetRing, filtration_make
 from .germs import (
     GROUP_FACTORS,
     GROUP_TAGS,
-    GermError,
     MapGerm,
     extend_ring,
     factor_layout,
@@ -35,7 +34,6 @@ from .germs import (
 )
 from .tangent import (
     DerVector,
-    TangentError,
     comparison_bound,
     log_element,
     tangent_space,
@@ -43,7 +41,6 @@ from .tangent import (
 )
 from .descent import DescentError, DescentProblem, descend
 from .polysys import (
-    PolyError,
     brute_solve,
     compile_system,
     groebner_inconsistent,
@@ -857,16 +854,12 @@ def execute(argv):
         report["ok"] = False
         report["error"] = str(e)
         return report, e.exit_code
-    except ExprError as e:
+    except ValueError as e:
+        # every germ error, and Python's own (an int too long to print)
         report["ok"] = False
         report["error"] = str(e)
-        report["line"] = getattr(e, "line", 1)
-        report["column"] = getattr(e, "col", None)
-        return report, 1
-    except (FieldError, JetError, GermError, TangentError,
-            DescentError, PolyError) as e:
-        report["ok"] = False
-        report["error"] = str(e)
+        if isinstance(e, ExprError):
+            report["line"], report["column"] = e.line, e.col
         return report, 1
     report["ok"] = True
     report["result"] = result

@@ -25,6 +25,7 @@ class ExprError(ValueError):
 
 
 _SYMBOLS = "+-*/^(),"
+_MAX_NESTING = 100  # factors in factors; each level costs parser stack
 
 
 def tokenize(text: str, line: int = 1, col: int = 1):
@@ -75,6 +76,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -101,28 +103,35 @@ class _Parser:
     def parse_term(self):
         node = self.parse_factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.next()[0]
+            op = self.next()
             rhs = self.parse_factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
+            # a division keeps its position, for a failure at evaluation
+            node = ("mul", node, rhs) if op[0] == "*" else ("div", node, rhs, op[2], op[3])
         return node
 
     def parse_factor(self):
+        # every parenthesis and sign nests one factor deeper
         tok = self.peek()
+        if self.depth == _MAX_NESTING:
+            raise ExprError(f"nested deeper than {_MAX_NESTING} levels", tok[2], tok[3])
+        self.depth += 1
         if tok[0] in ("+", "-"):
             self.next()
             inner = self.parse_factor()
-            return inner if tok[0] == "+" else ("neg", inner)
-        return self.parse_power()
+            node = inner if tok[0] == "+" else ("neg", inner)
+        else:
+            node = self.parse_power()
+        self.depth -= 1
+        return node
 
     def parse_power(self):
         base = self.parse_atom()
         while self.peek()[0] == "^":
-            caret = self.next()
+            self.next()
             tok = self.next()
             if tok[0] != "int":
                 raise ExprError("exponent must be a non-negative integer", tok[2], tok[3])
             base = ("pow", base, tok[1])
-            del caret
         return base
 
     def parse_atom(self):
@@ -172,7 +181,7 @@ def evaluate(node, env: dict, make_int: Callable[[int], Any]):
         try:
             return num / den
         except (TypeError, ZeroDivisionError) as exc:
-            raise ExprError(f"division not available here: {exc}", 0, 0) from exc
+            raise ExprError(f"division not available here: {exc}", node[3], node[4]) from exc
     if kind == "pow":
         return evaluate(node[1], env, make_int) ** node[2]
     raise AssertionError(f"bad node {kind}")
@@ -185,13 +194,11 @@ def names_in(node, acc=None):
     if node[0] == "name":
         if node[1] not in acc:
             acc.append(node[1])
-    elif node[0] in ("neg",):
-        names_in(node[1], acc)
-    elif node[0] in ("add", "sub", "mul", "div"):
-        names_in(node[1], acc)
-        names_in(node[2], acc)
-    elif node[0] == "pow":
-        names_in(node[1], acc)
+    elif node[0] != "int":
+        # the operands of a sign, a power or a binary operation
+        for child in node[1:3]:
+            if isinstance(child, tuple):
+                names_in(child, acc)
     return acc
 
 

@@ -803,19 +803,23 @@ def probe_images(source: JetRing, target: JetRing, outer=None,
                       else [_at_slots(t, slot_power, source) for t in terms])
 
 
-def group_level(element: GroupElement, source: JetRing, target: JetRing,
-                filt: Filtration) -> float:
-    """The largest j with ord(g.v - v) >= ord(v) + j over the test maps v of
-    ``level_probes``, with g.v from ``probe_images``.  Returns -1 when the
-    element fails even the level-0 bound, which can happen for
-    non-standard filtrations.
-    """
+def probe_moves(element: GroupElement, source: JetRing, target: JetRing):
+    """Pairs (v, g.v - v) over the test maps v of ``level_probes``, with g.v
+    from ``probe_images``: the moves that every level of ``element`` reads."""
     parts = {part.tag: part for part in element.factors()}
     outer = parts.get("L") or parts.get("C")
     images = probe_images(source, target, outer and outer.comps, parts.get("R"),
                           parts["Mat"].rows if "Mat" in parts else None)
-    return probe_level(((v, [a - b for a, b in zip(img, v)]) for v, img in images),
-                       source, filt)
+    return ((v, [a - b for a, b in zip(img, v)]) for v, img in images)
+
+
+def group_level(element: GroupElement, source: JetRing, target: JetRing,
+                filt: Filtration) -> float:
+    """The largest j with ord(g.v - v) >= ord(v) + j over the ``probe_moves``
+    of the element.  Returns -1 when the element fails even the level-0
+    bound, which can happen for non-standard filtrations.
+    """
+    return probe_level(probe_moves(element, source, target), source, filt)
 
 
 # -- change of coefficient field --------------------------------------------

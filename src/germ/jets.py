@@ -279,9 +279,10 @@ class JetRing:
         return self._raw
 
     def ideal_gen_jets(self):
-        """Ideal generators as jets of the raw ring."""
+        """Ideal generators as jets of the raw ring, over its domain."""
         raw = self.raw()
-        return tuple(Jet(raw, dict(g)) for g in self.ideal_gens)
+        embed = raw.domain.embed_base
+        return tuple(Jet(raw, {mon: embed(c) for mon, c in g}) for g in self.ideal_gens)
 
     def __repr__(self):
         tail = f", t={self.tvars} mod t^{(self.torder or 0) + 1}" if self.tvars else ""
@@ -814,6 +815,7 @@ class Filtration:
                 raise JetError("filtration chain is not descending")
         self._check_multiplicative()
         self._sets = {d + 1: s for d, s in enumerate(self.chain)}
+        self._sets[0] = frozenset(m for m in ring.monomials if any(m))
         self._products = {}
         self._orders = None
 
@@ -837,10 +839,9 @@ class Filtration:
                             )
 
     def level_set(self, d: int) -> frozenset:
-        """Monomials of the level-d term (all ring monomials for d <= 0)."""
-        if d <= 0:
-            return frozenset(self.ring.monomials)
-        cached = self._sets.get(d)
+        """Monomials of the level-d term; for d <= 0 the nonconstant
+        monomials, every test monomial a level is measured on."""
+        cached = self._sets.get(max(d, 0))
         if cached is not None:
             return cached
         result = self._times((self.level_set(a), self.level_set(d - a))
@@ -888,17 +889,18 @@ class Filtration:
                     best = o
         return best
 
-    def product_set(self, e: int, d: int) -> frozenset:
-        """Monomials reachable as products of e members of the level-d term."""
-        key = (e, d)
-        if key in self._products:
-            return self._products[key]
-        if e <= 1:
-            result = self.level_set(d)
-        else:
-            result = self._times([(self.product_set(e - 1, d), self.level_set(d))])
-        self._products[key] = result
-        return result
+    def product_set(self, beta, d: int) -> frozenset:
+        """The in-range monomials prod_k v_k^beta_k over members v_k of the
+        level-d term: what y^beta makes of test maps of order >= d."""
+        key = (beta, d)
+        if key not in self._products:
+            if len(beta) > 1:  # the product of two cached sets
+                pairs = [(self.product_set(beta[:-1], d), self.product_set(beta[-1:], d))]
+            else:
+                pairs = [([self.ring.unit_mon], [tuple(beta[0] * e for e in v)
+                                                 for v in self.level_set(d)])]
+            self._products[key] = self._times(pairs)
+        return self._products[key]
 
     def with_ring(self, ring: JetRing) -> "Filtration":
         """The same monomial chain, attached to a compatible ring."""

@@ -29,7 +29,7 @@ from .jets import (
 )
 from .germs import (
     GROUP_FACTORS, MapGerm, Pair, GermError, factor_layout, identity_element,
-    from_factors, product_ring, extend_ring, extend_map, restrict_map, level_probes,
+    from_factors, product_ring, extend_ring, extend_map, restrict_map, probe_moves,
 )
 from .descent import verify_witness
 
@@ -282,10 +282,19 @@ class PolySystem:
         return f"<system: {len(self.equations)} equations in {len(self.ring.names)} unknowns>"
 
 
-def system_from_json(data: dict, field: Field) -> PolySystem:
+def system_from_json(data, field: Field) -> PolySystem:
+    """The system of a ``describe()`` JSON object; any other shape raises."""
+    def listed(value, kind):
+        return isinstance(value, list) and all(isinstance(v, kind) for v in value)
+
+    prov = data.get("provenance", {}) if isinstance(data, dict) else None
+    if not (isinstance(prov, dict) and listed(data.get("unknowns"), str)
+            and listed(data.get("equations"), str) and listed(prov.get("equations", []), dict)):
+        raise PolyError('a system file is {"unknowns": [names], "equations": [texts]} '
+                        'with an optional "provenance" object')
     ring = PolyRing(field, data["unknowns"])
     equations = [ring.from_expr(text) for text in data["equations"]]
-    prov = dict(data.get("provenance", {}))
+    prov = dict(prov)
     tags = prov.pop("equations", None) or [{} for _ in equations]
     return PolySystem(ring, equations, tags, provenance=prov)
 
@@ -349,6 +358,8 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
     """
     if tag not in GROUP_FACTORS:
         raise PolyError(f"unknown group {tag!r}")
+    if level < 0:
+        raise PolyError("level must be non-negative")
     if f.source != f_tilde.source or f.target != f_tilde.target:
         raise PolyError("the two maps must share source and target")
     source, target = f.source, f.target
@@ -400,9 +411,9 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
         equations.append(poly)
         tags.append(tag_info)
 
-    def push_jet(jet: Jet, condition: str, where: dict, order_below=None, filt_for=None):
+    def push_jet(jet: Jet, condition: str, where: dict, order_below=None):
         for mon in sorted(jet.coeffs, key=lambda m: jet.ring.mon_index[m]):
-            if order_below is not None and filt_for.mon_order(mon) >= order_below:
+            if order_below is not None and filt.mon_order(mon) >= order_below:
                 continue
             info = {"condition": condition, "coefficient": jet.ring.mon_str(mon)}
             info.update(where)
@@ -421,8 +432,7 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
     for element, condition in ((right, "source-ideal"), (outer, "target-ideal")):
         if element is not None and element.tag != "Mat":
             for gi, g in enumerate(element.side.ideal_gen_jets()):
-                push_jet(element.pullback(_embed_jet(g, element.side.raw())), condition,
-                         {"generator": gi})
+                push_jet(element.pullback(g), condition, {"generator": gi})
 
     # invertibility of each factor, by a product unknown against the
     # relevant determinant at the base point
@@ -430,21 +440,15 @@ def compile_system(tag: str, f: MapGerm, f_tilde: MapGerm, level: int = 0,
         push(_det(elements[kind].linear_part(), PR) * PR.var(aux_names[kind]) - PR.one,
              {"condition": "invertibility", "factor": _FACTORS[kind]})
 
-    # confinement to the level subgroup: acting on every test map must
-    # raise its filtration order by at least the level
+    # confinement to the level subgroup: every test map's move must raise
+    # its filtration order by at least the level
     if level > 0:
         whole = from_factors([elements[kind] for kind in kinds])
-        linear = "L" not in kinds and "C" not in kinds
-        for v in level_probes(source, target, linear):
+        for v, move in probe_moves(whole, S_source, S_target):
             d = filt.order_of(v)
-            if d == float("inf"):
-                continue
-            v_S = [_embed_jet(c, S_source) for c in v]
-            moved = act(whole, v_S)
-            for i, (mv, orig) in enumerate(zip(moved, v_S)):
-                push_jet(mv - orig, "level",
-                         {"component": i, "test_order": int(d)},
-                         order_below=d + level, filt_for=filt)
+            for i, jet in enumerate(move):
+                push_jet(jet, "level", {"component": i, "test_order": int(d)},
+                         order_below=d + level)
 
     m = target.nx
     provenance = {
@@ -548,6 +552,8 @@ def brute_solve(system: PolySystem, field: Optional[Field] = None,
     are embedded); ``domain`` restricts the searched values to a subset of
     the field, e.g. a subfield's image.
     """
+    if limit is not None and limit < 1:
+        raise PolyError("the solution limit must be at least 1")
     sys_here = system
     if field is not None and field != system.field:
         if not isinstance(field, ExtensionField) or field.base != system.field:

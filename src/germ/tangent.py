@@ -9,12 +9,15 @@ keeps each generating vector paired with its image on the map, so that
 linear problems in the image space can be pulled back to group data.
 
 Level-j subspaces are cut out monomial by monomial: a candidate vector
-built on one monomial survives when every way of feeding it filtration
-monomials raises the filtration order by at least j.  For the order
-filtration this reproduces the familiar closed forms (coefficients in
-the (j+1)-st power of the maximal ideal on the derivation sides, entries
-in the j-th power on the matrix side).  Ideal-carrying presentations
-impose linear side conditions, which are solved exactly, so that frame
+built on one monomial survives when it raises the filtration order of
+every test map by at least j.  The test maps are those of
+``germs.level_probes``, nonconstant monomials in each slot, order 0
+included (t-adic and chain filtrations have such), and they also give
+compiled systems their level equations and ``group_level`` its levels.
+For the order filtration this reproduces the familiar closed forms
+(coefficients in the (j+1)-st power of the maximal ideal on the
+derivation sides, entries in the j-th power on the matrix side).
+Ideal-carrying presentations impose linear side conditions, which are solved exactly, so that frame
 vectors for singular germs are combinations of monomial candidates.
 
 exp turns a vector into a group element by the usual series, which
@@ -381,68 +384,52 @@ def _least_gain(source: JetRing, filt: Filtration, pairs) -> float:
                default=float("inf"))
 
 
-def _vector(kind: str, comps, source, target, joint) -> _Derivation:
-    """The R, L or C tangent vector with coefficients ``comps`` (jets of
-    ``source``, ``target`` or ``joint``)."""
+def _vector(kind: str, comps, source, target, joint) -> TangentVector:
+    """The tangent vector of a kind with coefficients ``comps``, jets of the
+    kind's ``factor_layout`` ring in its layout (a matrix row by row)."""
     if kind == "R":
         return DerVector(source, comps)
     if kind == "L":
         return TargetDerVector(target, comps)
+    if kind == "Mat":
+        m = target.nx
+        return MatVector(source, target, [comps[i * m: (i + 1) * m] for i in range(m)])
     return ContactVector(source, target, comps, joint=joint)
-
-
-def _slots(kind: str, jet: Jet, m: int, source, target, joint):
-    """The candidate vectors of a kind that carry ``jet`` in one slot."""
-    zero = jet.ring.zero
-    for slot in range(m):
-        yield _vector(kind, [jet if l == slot else zero for l in range(m)],
-                      source, target, joint)
 
 
 def _candidates(kind: str, source: JetRing, target: JetRing,
                 joint: Optional[JetRing], filt: Filtration):
-    """Every monomial candidate of a vector kind, as (least level, vector).
+    """Every monomial candidate of a vector kind, as (least level, vector),
+    one per monomial and entry of its ``factor_layout``.
 
     The least level is the least filtration order the candidate adds to a
-    filtration monomial fed to it, so the candidate lies in the level-j
-    subgroup's tangent exactly when it is at least j.
+    test monomial (``filt.level_set(0)``) fed to it, so the candidate lies
+    in the level-j subgroup's tangent exactly when it is at least j.  A
+    target-side monomial w = x^a t^c y^beta (a matrix entry: beta = (1,))
+    takes test monomials v_k of order >= d to x^a t^c prod v_k^beta_k.
     """
     ring, identity, mons, _ = factor_layout(kind, source, target, joint)
-    depths = range(1, filt.vanishing_depth())
+    lo = 0 if kind == "L" else source.nx  # y^beta = w[lo:hi]
+    hi = lo if kind == "Mat" else lo + target.nx
+    # order 0 is fed only when some test monomial has it
+    depths = range(0 if filt.level_set(0) != filt.level_set(1) else 1, filt.vanishing_depth())
     out = []
-    if kind == "R":
-        for nu in mons:
-            jet = source.jet({nu: source.domain.one})
-            for i, vec in enumerate(_slots(kind, jet, len(identity), source, target, joint)):
-                unit = tuple(1 if l == i else 0 for l in range(len(nu)))
+    for w in mons:
+        if kind != "R":
+            base = w[:lo] + (0,) * (source.nx - lo) + w[hi:]
+            beta = tuple(sorted(w[lo:hi])) or (1,)  # one product set per multiset
+            level = _least_gain(source, filt, ((_mon_mul(base, nu), d) for d in depths
+                                               for nu in filt.product_set(beta, d)))
+        jet = ring.jet({w: ring.domain.one})
+        for i in range(len(identity)):
+            if kind == "R":
+                # x^w d/dx_i takes x^mu to mu_i x^(w + mu - e_i)
+                unit = tuple(1 if l == i else 0 for l in range(len(w)))
                 level = _least_gain(source, filt, (
-                    (tuple(a + b - c for a, b, c in zip(nu, mu, unit)), filt.mon_order(mu))
+                    (tuple(a + b - c for a, b, c in zip(w, mu, unit)), filt.mon_order(mu))
                     for mu in source.monomials if mu[i]))
-                out.append((level, vec))
-    elif kind == "Mat":
-        m = target.nx
-        for alpha in mons:
-            level = _least_gain(source, filt, ((_mon_mul(alpha, nu), d) for d in depths
-                                               for nu in filt.level_set(d)))
-            entry = source.jet({alpha: source.domain.one})
-            for i in range(m):
-                for l in range(m):
-                    rows = [[entry if (r, c) == (i, l) else source.zero
-                             for c in range(m)] for r in range(m)]
-                    out.append((level, MatVector(source, target, rows)))
-    else:
-        # a target-side monomial w = x^a t^c y^beta, fed e filtration
-        # monomials of level d (e = |beta|), lands on x^a t^c times their product
-        nsrc = 0 if kind == "L" else source.nx
-        m = target.nx
-        for w in mons:
-            e = sum(w[nsrc: nsrc + m])
-            base = tuple(w[:nsrc]) + (0,) * (source.nx - nsrc) + tuple(w[nsrc + m:])
-            level = _least_gain(source, filt, (
-                (_mon_mul(base, nu), d) for d in depths
-                for nu in filt.product_set(e, d)))
-            jet = ring.jet({w: ring.domain.one})
-            out.extend((level, vec) for vec in _slots(kind, jet, m, source, target, joint))
+            comps = [jet if l == i else ring.zero for l in range(len(identity))]
+            out.append((level, _vector(kind, comps, source, target, joint)))
     return out
 
 

@@ -13,7 +13,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("workload,counters", [
     ("descent-ext", ["germs.act_calls", "jets.mul_calls", "jets.rref_calls"]),
     ("ff-solve", ["polysys.evaluate_calls"]),
-], ids=["descent-ext", "ff-solve"])
+    # the workload that spends the most time in tangent._candidates
+    ("depth-bounds-q", ["jets.rref_calls", "jets.membership_calls",
+                        "tangent.comparison_bound_s"]),
+], ids=["descent-ext", "ff-solve", "depth-bounds-q"])
 def test_the_benchmark_runs_on_the_public_api(tmp_path, workload, counters):
     # bench/ builds its group elements through the public constructors, so a
     # renamed or removed class shows here as a failed run

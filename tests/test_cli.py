@@ -165,8 +165,8 @@ def test_a_source_change_with_a_parameter_only_term_reports_the_line(tmp_path):
 @pytest.mark.parametrize("text, line, column, error", [
     ("# a syntax error in the minimal polynomial\nfield Q\nextend a^^2-2\n", 3, 3,
      "line 1, col 3: exponent must be a non-negative integer"),
-    ("field Q\nextend a/0\n", 2, 0,
-     "line 0, col 0: division not available here: inverse of zero"),
+    ("field Q\nextend a/0\n", 2, 2,
+     "line 1, col 2: division not available here: inverse of zero"),
     ("\nfield F3[b]/(b^^2+1)\n", 2, 3,
      "line 1, col 3: exponent must be a non-negative integer"),
 ], ids=["extend-syntax", "extend-divide-by-zero", "field-syntax"])
@@ -277,6 +277,49 @@ def test_descend_failure_in_characteristic_p_is_exit_1(tmp_path, field, order, f
     assert "obstruction" not in rep["error"]
 
 
+# x -> u over a parameter t: h and g differ from f at t = 0, so no element
+# of t-adic level 1 carries f to either; ft is f moved by LP, which is the
+# identity at t = 0
+TADIC = (
+    "field Q\njet 4\ntjet 2 vars: t\nsource vars: x ideal: ()\n"
+    "target vars: u ideal: ()\nfiltration T = tadic\n"
+    "map f = (x + t*x^2)\nmap h = (x + t*x^2 + x^3)\n"
+    "map g = (x+x^2+x^2*t+2*x^3*t+x^4*t^2)\n"
+)
+TADIC2 = (
+    "field Q\njet 4\ntjet 2 vars: t\nsource vars: x y ideal: ()\n"
+    "target vars: u v ideal: ()\nfiltration T = tadic\n"
+    "map f = (x^2+y^3, x*y)\naut LP = (u+t*u^2+t*v^2, v+t^2*u*v)\n"
+)
+
+
+@pytest.mark.parametrize("other", ["h", "g"])
+@pytest.mark.parametrize("group", ["R", "Klin", "L", "LR", "C", "K"])
+def test_descend_sees_a_change_at_parameter_zero(tmp_path, group, other):
+    # the level-1 t-adic frame must not hold u^2 d/du: its exponential moves
+    # the fibre t = 0
+    path = tmp_path / "tadic.germ"
+    path.write_text(TADIC)
+    rep, code = execute(["descend", "--session", str(path), "--group", group, "--map", "f",
+                         "--map2", other, "--level", "1", "--filtration", "T"])
+    assert code == 2, rep
+    assert "obstruction" in rep["result"]["reason"]
+
+
+@pytest.mark.parametrize("group", ["L", "LR", "C", "K"])
+def test_descend_finds_a_target_change_of_parameter_level_one(tmp_path, group):
+    path = tmp_path / "tadic2.germ"
+    path.write_text(TADIC2)
+    rep, code = execute(["act", "--session", str(path), "--group", "L", "--elem", "LP",
+                         "--map", "f"])
+    assert code == 0
+    path.write_text(TADIC2 + "map ft = ({})\n".format(", ".join(rep["result"]["text"])))
+    rep, code = execute(["descend", "--session", str(path), "--group", group, "--map", "f",
+                         "--map2", "ft", "--level", "1", "--filtration", "T"])
+    assert code == 0, rep
+    assert rep["result"]["descended"] and rep["result"]["certificate"]["verified"]
+
+
 def test_orbits_over_a_huge_prime_field_fail_fast(tmp_path):
     # 10^18+3 is prime; q^2-1 keeps a composite cofactor with no factor
     # below the trial-division limit
@@ -337,6 +380,54 @@ def test_field_errors_are_exit_1(sessions, compiled_system, argv, error):
     rep, code = execute([paths.get(a, a) for a in argv])
     assert code == 1
     assert rep["error"] == error
+
+
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    '{"equations": ["a"]}',
+    '{"unknowns": ["a"], "equations": [1]}',
+    '{"unknowns": "ab", "equations": ["a"]}',
+], ids=["list", "no-unknowns", "equation-not-text", "unknowns-not-a-list"])
+def test_a_malformed_system_file_is_exit_1(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    rep, code = execute(["solve", str(path), "--field", "F3"])
+    assert code == 1 and not rep["ok"]
+    assert rep["error"].startswith("a system file is ")
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_solve_refuses_a_limit_below_one(compiled_system, limit):
+    rep, code = execute(["solve", compiled_system, "--field", "F3", "--ext", "b^2+1",
+                         "--limit", limit])
+    assert code == 1
+    assert rep["error"] == "the solution limit must be at least 1"
+
+
+def test_system_refuses_a_negative_level(sessions):
+    rep, code = execute(["system", "--session", sessions["f3"], "--group", "R",
+                         "--map", "f", "--map2", "g", "--level", "-2"])
+    assert code == 1
+    assert rep["error"] == "level must be non-negative"
+
+
+def test_deep_nesting_is_refused_at_its_token(tmp_path):
+    path = tmp_path / "deep.germ"
+    path.write_text("field Q\njet 3\nsource vars: x ideal: ()\ntarget vars: u ideal: ()\n"
+                    "map f = (" + "(" * 3000 + "x" + ")" * 3000 + ")\n")
+    rep, code = execute(["session", str(path)])
+    assert code == 1 and not rep["ok"]
+    assert (rep["line"], rep["column"]) == (5, 101)
+    assert rep["error"] == "line 1, col 101: nested deeper than 100 levels"
+
+
+def test_a_coefficient_too_long_to_print_is_exit_1(tmp_path):
+    path = tmp_path / "huge.germ"
+    path.write_text("field Q\njet 3\nsource vars: x ideal: ()\ntarget vars: u ideal: ()\n"
+                    "map f = (2^20000*x)\n")
+    rep, code = execute(["session", str(path)])
+    assert code == 1 and not rep["ok"]
+    assert "string conversion" in rep["error"]
 
 
 def test_groebner_reports_consistency(compiled_system):

@@ -2,6 +2,7 @@ import pytest
 
 from germ.exactfield import Rationals, make_extension
 from germ.germs import (
+    LeftAut,
     MapGerm,
     RightAut,
     extend_element,
@@ -139,3 +140,17 @@ def test_family_witness_zero_slice_is_normalized_away(cubic_family):
                for p, q in zip(moved.components, fiber_K.components))
     cert = family_trivialize("R", fam, ext=ext, witness=wit)
     assert verify_witness(cert.witness, fam, central_fiber(fam))["ok"]
+
+
+@pytest.mark.parametrize("tag", ["L", "LR", "C", "K"])
+def test_a_target_change_of_parameter_level_one_descends_to_one(tag):
+    # the level-1 t-adic frame holds no vector that moves the fibre t = 0,
+    # so the peeled witness keeps t-adic level 1
+    X = JetRing(Q, ["x", "y"], 4, tvars=["t"], torder=2)
+    Y = JetRing(Q, ["u", "v"], 4, tvars=["t"], torder=2)
+    tadic = filtration_make(X, "tadic")
+    f = MapGerm(X, Y, [X.from_expr("x^2+y^3"), X.from_expr("x*y")])
+    lp = LeftAut(Y, [Y.from_expr("u+t*u^2+t*v^2"), Y.from_expr("v+t^2*u*v")])
+    cert = descend(DescentProblem(tag, f, lp.act(f), tadic, 1))
+    assert verify_witness(cert.witness, f, lp.act(f))["ok"]
+    assert group_level(cert.witness, X, Y, tadic) >= 1

@@ -241,9 +241,13 @@ def test_family_ring_truncation_and_parameter_filtration():
 def test_product_sets_for_the_order_filtration():
     R = JetRing(Q, ["x"], 4)
     filt = filtration_make(R, "madic")
-    assert filt.product_set(2, 1) == frozenset({(2,), (3,), (4,)})
-    assert filt.product_set(2, 2) == frozenset({(4,)})
-    assert filt.product_set(3, 2) == frozenset()
+    # two test monomials in two slots, y1 * y2
+    assert filt.product_set((1, 1), 1) == frozenset({(2,), (3,), (4,)})
+    assert filt.product_set((1, 1), 2) == frozenset({(4,)})
+    assert filt.product_set((1, 1, 1), 2) == frozenset()
+    # one test monomial squared, y^2: x*x^2 is no square
+    assert filt.product_set((2,), 1) == frozenset({(2,), (4,)})
+    assert filt.product_set((0, 2), 2) == frozenset({(4,)})
 
 
 def test_json_round_trip():

@@ -17,6 +17,7 @@ from germ.tangent import (
     MatVector,
     TangentError,
     TargetDerVector,
+    _candidates,
     comparison_bound,
     der_log,
     exp_combination,
@@ -279,3 +280,69 @@ def test_contact_vector_exponentiates_to_a_contact_element():
     C = cv.exp()
     back = log_element(C)["C"]
     assert [str(c) for c in back.comps] == ["x*y"]
+
+
+# -- candidate levels against the probe images ------------------------------
+
+F3 = make_field("F3")
+
+
+def _oracle_shape(name, F):
+    """(source, target, filtrations) for the candidate-level oracle."""
+    if name.startswith("line"):
+        X, Y = JetRing(F, ["x"], int(name[4:])), JetRing(F, ["u"], int(name[4:]))
+        return X, Y, [filtration_make(X, "madic"), filtration_make(X, [["x^2"]])]
+    if name in ("plane", "curve"):
+        order = 3 if name == "plane" else 4
+        X = JetRing(F, ["x", "y"], order)
+        Y = JetRing(F, ["u", "v"] if name == "plane" else ["u"], order)
+        return X, Y, [filtration_make(X, "madic"), filtration_make(X, [["x", "y^2"]])]
+    if name == "family":
+        X = JetRing(F, ["x"], 3, tvars=["t"], torder=2)
+        Y = JetRing(F, ["u"], 3, tvars=["t"], torder=2)
+        return X, Y, [filtration_make(X, f) for f in ("madic", "tadic", [["x^2"]])]
+    if name == "axes":
+        X = JetRing(F, ["x", "y"], 3)
+        Y = JetRing(F, ["u", "v"], 3, ideal=[{(1, 1): F.one}])
+        return X, Y, [filtration_make(X, "madic"), filtration_make(X, [["x", "y^2"]])]
+    if name == "double":
+        X = JetRing(F, ["x"], 4)
+        Y = JetRing(F, ["u"], 4, ideal=[{(2,): F.one}])
+        return X, Y, [filtration_make(X, "madic"), filtration_make(X, [["x^2"]])]
+    raise ValueError(name)
+
+
+SMOOTH_SHAPES = ["line4", "line6", "plane", "curve", "family"]
+
+
+def _candidate_levels(F, shape):
+    """(filtration kind, kind, vector, candidate level, ``vector_level``) for
+    every candidate of every kind on every filtration of the shape; an inf
+    candidate level reads as the jet range, where ``vector_level`` caps."""
+    X, Y, filts = _oracle_shape(shape, F)
+    kinds = ("R", "L", "C") + (() if Y.ideal_gens else ("Mat",))
+    cap = X.order + (X.torder or 0)
+    joint = product_ring(X, Y)
+    return [(filt.kind, kind, vec, cap if level == float("inf") else level,
+             vector_level(vec, X, Y, filt))
+            for filt in filts for kind in kinds
+            for level, vec in _candidates(kind, X, Y, joint, filt)]
+
+
+@pytest.mark.parametrize("shape", SMOOTH_SHAPES)
+def test_candidate_levels_are_the_levels_of_their_vectors(shape):
+    # over Q on a smooth target the closed forms are exact, order-0 test
+    # monomials of the t-adic and chain filtrations included
+    wrong = [(kind, fk, repr(vec), level, exact)
+             for fk, kind, vec, level, exact in _candidate_levels(Q, shape) if level != exact]
+    assert wrong == []
+
+
+@pytest.mark.parametrize("F", [Q, F2, F3, F5], ids=str)
+@pytest.mark.parametrize("shape", SMOOTH_SHAPES + ["axes", "double"])
+def test_candidate_levels_never_exceed_the_levels_of_their_vectors(shape, F):
+    # the closed forms ignore the target ideal and a vanishing mu_i in
+    # characteristic p, both of which can only raise the exact level
+    high = [(kind, fk, repr(vec), level, exact)
+            for fk, kind, vec, level, exact in _candidate_levels(F, shape) if level > exact]
+    assert high == []
