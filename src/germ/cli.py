@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -870,7 +871,13 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     argv = sys.argv[1:] if argv is None else argv
     report, code = execute(argv)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    try:
+        print(json.dumps(report, indent=2, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader has gone (``germ ... | head``): point stdout at devnull,
+        # so that the flush at exit cannot fail again, and end as an error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     args_time = "--time" in argv
     if args_time:
         print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)

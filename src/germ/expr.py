@@ -12,6 +12,7 @@ scalars, truncated jets and multivariate polynomials.
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable
 
 
@@ -26,6 +27,7 @@ class ExprError(ValueError):
 
 _SYMBOLS = "+-*/^(),"
 _MAX_NESTING = 100  # factors in factors; each level costs parser stack
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def tokenize(text: str, line: int = 1, col: int = 1):
@@ -158,47 +160,54 @@ def parse(text: str, line: int = 1, col: int = 1):
 
 
 def evaluate(node, env: dict, make_int: Callable[[int], Any]):
-    """Evaluate an AST against ``env``; integer literals go through make_int."""
+    """Evaluate an AST against ``env``; integer literals go through make_int.
+
+    A chain (a sum, a product or a power tower) nests to the left as deep
+    as it is long, so its left spine is walked down in a loop and its
+    operations applied on the way back up, left to right.
+    """
+    spine = []
+    while node[0] in ("add", "sub", "mul", "div", "pow"):
+        spine.append(node)
+        node = node[1]
     kind = node[0]
     if kind == "int":
-        return make_int(node[1])
-    if kind == "name":
+        value = make_int(node[1])
+    elif kind == "name":
         name = node[1]
         if name not in env:
             raise ExprError(f"unknown name {name!r}", node[2], node[3])
-        return env[name]
-    if kind == "neg":
-        return -evaluate(node[1], env, make_int)
-    if kind == "add":
-        return evaluate(node[1], env, make_int) + evaluate(node[2], env, make_int)
-    if kind == "sub":
-        return evaluate(node[1], env, make_int) - evaluate(node[2], env, make_int)
-    if kind == "mul":
-        return evaluate(node[1], env, make_int) * evaluate(node[2], env, make_int)
-    if kind == "div":
-        num = evaluate(node[1], env, make_int)
-        den = evaluate(node[2], env, make_int)
-        try:
-            return num / den
-        except (TypeError, ZeroDivisionError) as exc:
-            raise ExprError(f"division not available here: {exc}", node[3], node[4]) from exc
-    if kind == "pow":
-        return evaluate(node[1], env, make_int) ** node[2]
-    raise AssertionError(f"bad node {kind}")
+        value = env[name]
+    elif kind == "neg":
+        value = -evaluate(node[1], env, make_int)
+    else:
+        raise AssertionError(f"bad node {kind}")
+    for op in reversed(spine):
+        if op[0] == "pow":
+            value = value ** op[2]
+        elif op[0] != "div":
+            value = _BINARY[op[0]](value, evaluate(op[2], env, make_int))
+        else:
+            den = evaluate(op[2], env, make_int)
+            try:
+                value = value / den
+            except (TypeError, ZeroDivisionError) as exc:
+                raise ExprError(f"division not available here: {exc}", op[3], op[4]) from exc
+    return value
 
 
-def names_in(node, acc=None):
-    """Collect the variable names appearing in an AST."""
-    if acc is None:
-        acc = []
-    if node[0] == "name":
-        if node[1] not in acc:
-            acc.append(node[1])
-    elif node[0] != "int":
-        # the operands of a sign, a power or a binary operation
-        for child in node[1:3]:
-            if isinstance(child, tuple):
-                names_in(child, acc)
+def names_in(node):
+    """Collect the variable names appearing in an AST, in order of first
+    appearance (walked with a stack, as chains nest deep)."""
+    acc, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if node[0] == "name":
+            if node[1] not in acc:
+                acc.append(node[1])
+        elif node[0] != "int":
+            # the operands of a sign, a power or a binary operation, left first
+            stack.extend(c for c in reversed(node[1:3]) if isinstance(c, tuple))
     return acc
 
 

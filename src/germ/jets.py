@@ -15,6 +15,7 @@ plain exact row reduction in that basis; nothing here is approximate.
 from __future__ import annotations
 
 import math
+from functools import cached_property
 from operator import add
 from typing import Iterable, Optional, Sequence
 
@@ -686,7 +687,6 @@ class SubspaceBasis:
         self.context = context
         self.rows = rows
         self.pivots = pivots
-        self._sparse_rows = None
 
     @classmethod
     def span(cls, context: VectorContext, vectors):
@@ -697,12 +697,10 @@ class SubspaceBasis:
     def rank(self) -> int:
         return len(self.rows)
 
-    @property
+    @cached_property
     def sparse_rows(self):
         """Each row as the ``(position, value)`` pairs of its nonzeros."""
-        if self._sparse_rows is None:
-            self._sparse_rows = [_nonzeros(row) for row in self.rows]
-        return self._sparse_rows
+        return [_nonzeros(row) for row in self.rows]
 
     def membership(self, vec):
         """Coordinates of ``vec`` in this basis, or None if outside."""
@@ -717,32 +715,8 @@ class SubspaceBasis:
         return res
 
     def graded_intersections(self, grades: Sequence):
-        """Intersections with the coordinate subspaces {grade >= d}, for every d.
-
-        ``grades`` holds one grade per vector position.  With the columns
-        ordered by increasing grade, each {grade < d} block is a prefix, so
-        one row reduction serves every d: the rows whose pivot has grade
-        >= d span the vectors of this subspace supported on {grade >= d}.
-        Returns ``part(d)``, which puts those rows back in the original
-        column order and reduces them again, so each part has its
-        canonical basis.
-        """
-        dim = self.context.dim
-        field = self.context.ring.field
-        perm = sorted(range(dim), key=lambda j: grades[j])
-        inv = [0] * dim
-        for newpos, old in enumerate(perm):
-            inv[old] = newpos
-        shuffled = [[row[old] for old in perm] for row in self.rows]
-        reduced, pivots = rref(shuffled, field)
-        graded = [(grades[perm[pivot]], tuple(row[inv[j]] for j in range(dim)))
-                  for row, pivot in zip(reduced, pivots)]
-
-        def part(d) -> "SubspaceBasis":
-            rows, pivots = rref([row for g, row in graded if g >= d], field)
-            return SubspaceBasis(self.context, rows, pivots)
-
-        return part
+        """``graded_intersections`` of this subspace, from its rows."""
+        return graded_intersections(self.context, self.rows, grades)
 
     def intersect_positions(self, allowed: set) -> "SubspaceBasis":
         """Intersection with the coordinate subspace supported on ``allowed``."""
@@ -758,6 +732,33 @@ class SubspaceBasis:
 
     def __repr__(self):
         return f"<subspace rank {self.rank} in dim {self.context.dim}>"
+
+
+def graded_intersections(context: VectorContext, vectors, grades: Sequence):
+    """Intersections of the span of ``vectors`` with the coordinate subspaces
+    {grade >= d}, for every d, from one row reduction of any spanning set.
+
+    ``grades`` holds one grade per vector position.  With the columns
+    ordered by increasing grade, each {grade < d} block is a prefix, so the
+    rows of the graded echelon whose pivot has grade >= d span the vectors
+    of the subspace supported on {grade >= d}.  Returns ``part(d)``, which
+    reduces those rows again in the original column order, so each part
+    has its canonical basis; ``part.graded`` holds the graded rows in the
+    original column order, as ``(grade, row)`` pairs by increasing grade.
+    """
+    dim, field = context.dim, context.ring.field
+    perm = sorted(range(dim), key=lambda j: grades[j])
+    inv = sorted(range(dim), key=perm.__getitem__)  # old position -> new
+    reduced, pivots = rref([[row[old] for old in perm] for row in vectors], field)
+    graded = [(grades[perm[pivot]], tuple(row[inv[j]] for j in range(dim)))
+              for row, pivot in zip(reduced, pivots)]
+
+    def part(d) -> SubspaceBasis:
+        rows, pivots = rref([row for g, row in graded if g >= d], field)
+        return SubspaceBasis(context, rows, pivots)
+
+    part.graded = graded
+    return part
 
 
 def ideal_span(gens, ring: JetRing, ncomp: int = 1) -> SubspaceBasis:
@@ -782,9 +783,8 @@ def ideal_span(gens, ring: JetRing, ncomp: int = 1) -> SubspaceBasis:
 
 
 def membership(v, basis: SubspaceBasis):
-    if isinstance(v, (Jet, tuple, list)) and not isinstance(v, (str,)):
-        if isinstance(v, Jet) or (v and isinstance(v[0], Jet)):
-            v = basis.context.to_vec(v)
+    if isinstance(v, Jet) or (v and isinstance(v[0], Jet)):
+        v = basis.context.to_vec(v)
     return basis.membership(v)
 
 
@@ -816,7 +816,7 @@ class Filtration:
         self._check_multiplicative()
         self._sets = {d + 1: s for d, s in enumerate(self.chain)}
         self._sets[0] = frozenset(m for m in ring.monomials if any(m))
-        self._products = {}
+        self._cache = {}  # product sets; tangent candidate levels by (kind, rings)
         self._orders = None
 
     @property
@@ -893,14 +893,14 @@ class Filtration:
         """The in-range monomials prod_k v_k^beta_k over members v_k of the
         level-d term: what y^beta makes of test maps of order >= d."""
         key = (beta, d)
-        if key not in self._products:
+        if key not in self._cache:
             if len(beta) > 1:  # the product of two cached sets
                 pairs = [(self.product_set(beta[:-1], d), self.product_set(beta[-1:], d))]
             else:
                 pairs = [([self.ring.unit_mon], [tuple(beta[0] * e for e in v)
                                                  for v in self.level_set(d)])]
-            self._products[key] = self._times(pairs)
-        return self._products[key]
+            self._cache[key] = self._times(pairs)
+        return self._cache[key]
 
     def with_ring(self, ring: JetRing) -> "Filtration":
         """The same monomial chain, attached to a compatible ring."""

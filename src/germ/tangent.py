@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import copy
 import itertools
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .jets import (
     Jet, JetRing, Filtration, PowerTable, VectorContext, SubspaceBasis,
-    ideal_span, nullspace, solve_columns, _mon_mul,
+    graded_intersections, ideal_span, nullspace, solve_columns, _mon_mul,
 )
 from .germs import (
     GROUP_FACTORS, MapGerm, GroupElement, RightAut, LeftAut, JetMatrix, Contact, Pair,
@@ -407,45 +408,56 @@ def _candidates(kind: str, source: JetRing, target: JetRing,
     in the level-j subgroup's tangent exactly when it is at least j.  A
     target-side monomial w = x^a t^c y^beta (a matrix entry: beta = (1,))
     takes test monomials v_k of order >= d to x^a t^c prod v_k^beta_k.
+    The filtration caches the levels per kind and rings, not the vectors.
     """
     ring, identity, mons, _ = factor_layout(kind, source, target, joint)
-    lo = 0 if kind == "L" else source.nx  # y^beta = w[lo:hi]
-    hi = lo if kind == "Mat" else lo + target.nx
-    # order 0 is fed only when some test monomial has it
-    depths = range(0 if filt.level_set(0) != filt.level_set(1) else 1, filt.vanishing_depth())
-    out = []
-    for w in mons:
-        if kind != "R":
-            base = w[:lo] + (0,) * (source.nx - lo) + w[hi:]
-            beta = tuple(sorted(w[lo:hi])) or (1,)  # one product set per multiset
-            level = _least_gain(source, filt, ((_mon_mul(base, nu), d) for d in depths
-                                               for nu in filt.product_set(beta, d)))
-        jet = ring.jet({w: ring.domain.one})
-        for i in range(len(identity)):
-            if kind == "R":
-                # x^w d/dx_i takes x^mu to mu_i x^(w + mu - e_i)
-                unit = tuple(1 if l == i else 0 for l in range(len(w)))
-                level = _least_gain(source, filt, (
-                    (tuple(a + b - c for a, b, c in zip(w, mu, unit)), filt.mon_order(mu))
-                    for mu in source.monomials if mu[i]))
-            comps = [jet if l == i else ring.zero for l in range(len(identity))]
-            out.append((level, _vector(kind, comps, source, target, joint)))
+    width = len(identity)
+
+    def levels():
+        lo = 0 if kind == "L" else source.nx  # y^beta = w[lo:hi]
+        hi = lo if kind == "Mat" else lo + target.nx
+        # order 0 is fed only when some test monomial has it
+        depths = range(0 if filt.level_set(0) != filt.level_set(1) else 1, filt.vanishing_depth())
+        for w in mons:
+            if kind != "R":
+                base = w[:lo] + (0,) * (source.nx - lo) + w[hi:]
+                beta = tuple(sorted(w[lo:hi])) or (1,)  # one product set per multiset
+                level = _least_gain(source, filt, ((_mon_mul(base, nu), d) for d in depths
+                                                   for nu in filt.product_set(beta, d)))
+            for i in range(width):
+                if kind == "R":
+                    # x^w d/dx_i takes x^mu to mu_i x^(w + mu - e_i)
+                    unit = tuple(1 if l == i else 0 for l in range(len(w)))
+                    level = _least_gain(source, filt, (
+                        (tuple(a + b - c for a, b, c in zip(w, mu, unit)), filt.mon_order(mu))
+                        for mu in source.monomials if mu[i]))
+                yield level
+
+    key, out = (kind, source, target), []
+    if key not in filt._cache:
+        filt._cache[key] = list(levels())
+    for level, (w, i) in zip(filt._cache[key], itertools.product(mons, range(width))):
+        comps = [ring.jet({w: ring.domain.one}) if l == i else ring.zero for l in range(width)]
+        out.append((level, _vector(kind, comps, source, target, joint)))
     return out
 
 
 class TangentFrame:
     """Generating tangent vectors for a group at a map, with their images."""
 
-    def __init__(self, tag: str, f: MapGerm, level: int, filt: Filtration,
-                 entries, images, basis: SubspaceBasis):
+    def __init__(self, tag: str, f: MapGerm, level: int, filt: Filtration, entries, images):
         self.tag = tag
         self.f = f
         self.level = level
         self.filt = filt
         self.entries = entries
         self.images = images
-        self.basis = basis
         self.context = f.context()
+
+    @cached_property
+    def basis(self) -> SubspaceBasis:
+        """The span of the images in reduced echelon form, built on first read."""
+        return SubspaceBasis.span(self.context, self.images)
 
     @property
     def rank(self) -> int:
@@ -498,11 +510,12 @@ class TangentFrame:
 def _frames(tag: str, f: MapGerm, filt: Filtration, levels) -> list:
     """The tangent frames of the level-j subgroups at f, one per j in ``levels``.
 
-    The candidates are generated and applied to f once.  The level-j frame
-    takes those of least level >= j (all of them for j = 0); on an
-    ideal-carrying ring its vectors are the kernel combinations of those
-    candidates under the linear side conditions, solved per frame, and
-    their images the same combinations of the candidate images.
+    The candidates, with least levels from the filtration's cache, are
+    generated and applied to f once.  The level-j frame takes those of
+    least level >= j (all of them for j = 0); on an ideal-carrying ring
+    its vectors are the kernel combinations of those candidates under the
+    linear side conditions, solved per frame, and their images the same
+    combinations of the candidate images.
     """
     if tag not in GROUP_FACTORS:
         raise TangentError(f"unknown group {tag!r}")
@@ -547,8 +560,7 @@ def _frames(tag: str, f: MapGerm, filt: Filtration, levels) -> list:
                 if total is not None and not total.is_zero():
                     entries.append(total)
                     images.append(tuple(image))
-        basis = SubspaceBasis.span(ctx, images) if images else SubspaceBasis(ctx, [], [])
-        frames.append(TangentFrame(tag, f, j, filt, entries, images, basis))
+        frames.append(TangentFrame(tag, f, j, filt, entries, images))
     return frames
 
 
@@ -594,41 +606,29 @@ class ComparisonBound:
 
 
 def comparison_bound(tag: str, f: MapGerm, j: int, filt: Filtration) -> ComparisonBound:
-    """Least d with every full-tangent image of order >= d lying in the
-    level-j tangent image space.
+    """Least d >= 1 with every full-tangent image of order >= d lying in the
+    level-j tangent image space, certified by coordinates for each
+    canonical basis vector of the full images of order >= d.
 
-    Certified by exhibiting coordinates for each basis vector of the
-    intersection.  For the paired left-right group the map must have
-    positive filtration order, otherwise target-side orders degenerate.
-
-    The search runs up to ``filt.vanishing_depth()``.  At that depth no
-    full-tangent image of order >= d survives the truncation, so the
-    inclusion holds with zero certificates: a bound is always found, and a
-    bound equal to the vanishing depth is least only vacuously, saying
-    nothing inside the jet window.
+    One graded echelon of the full images settles every d: its rows of
+    grade >= d span the full images of order >= d, so d is 1 + the largest
+    grade >= 1 of a row outside the level-j image, found by testing the
+    rows by descending grade up to the first one outside.  Grades stay
+    below ``top = filt.vanishing_depth()``, so d is at most ``top``; there
+    it has no certificates, since no image of order >= top survives the
+    truncation, and the inclusion holds only vacuously, saying nothing
+    inside the jet window.  For the paired left-right group the map must
+    have positive filtration order, otherwise target-side orders degenerate.
     """
     if tag == "LR" and filt.order_of(f.components) < 1:
         raise TangentError("the map must have positive filtration order")
     frame0, framej = _frames(tag, f, filt, (0, j))
     ctx = frame0.context
     grades = [filt.mon_order(mon) for _ in range(ctx.ncomp) for mon in ctx.ring.monomials]
-    order_at_least = frame0.basis.graded_intersections(grades)
-
-    def certificates(d):
-        certs = []
-        for row in order_at_least(d).rows:
-            coords = framej.basis.membership(row)
-            if coords is None:
-                return None
-            certs.append({
-                "vector": [str(c) for c in ctx.to_jets(row)],
-                "coordinates": [str(c) for c in coords],
-            })
-        return certs
-
-    top = filt.vanishing_depth()
-    for d in range(1, top):
-        certs = certificates(d)
-        if certs is not None:
-            return ComparisonBound(tag, j, d, certs)
-    return ComparisonBound(tag, j, top, [])
+    order_at_least = graded_intersections(ctx, frame0.images, grades)
+    d = 1 + next((g for g, row in reversed(order_at_least.graded)
+                  if g >= 1 and framej.basis.membership(row) is None), 0)
+    return ComparisonBound(tag, j, d, [
+        {"vector": [str(c) for c in ctx.to_jets(row)],
+         "coordinates": [str(c) for c in framej.basis.membership(row)]}
+        for row in order_at_least(d).rows])

@@ -486,6 +486,27 @@ def test_unknown_element_is_exit_1(sessions):
     assert not rep["ok"]
 
 
+def test_a_closed_stdout_ends_quietly():
+    # the reader is gone before the report is written, as in `germ ... | head`
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "germ.cli", "tangent", "--group", "K", "--map", "f"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    proc.stdout.close()
+    _, err = proc.communicate(RICH)
+    assert "Traceback" not in err, err
+    assert proc.returncode == 1
+
+
+def test_a_3000_term_chain_gets_a_json_answer():
+    session = RICH.split("map f")[0] + "map f = (" + "+".join(["x"] * 3000) + ")\n"
+    proc = subprocess.run([sys.executable, "-m", "germ.cli", "session"],
+                          input=session, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["ok"]
+    assert "map f = (3000*x)\n" in report["result"]["canonical"]
+
+
 def test_missing_arguments_are_exit_1():
     proc = subprocess.run(
         [sys.executable, "-m", "germ.cli", "act", "--group", "R"],

@@ -49,3 +49,20 @@ def test_power_needs_a_literal_integer_exponent():
     with pytest.raises(ExprError):
         _eval("x^y", {"x": Fraction(2), "y": Fraction(2)})
 
+
+
+def test_long_chains_evaluate_in_a_loop():
+    # a chain nests to the left as deep as it is long, far past the
+    # recursion limit; the operations still apply left to right
+    n = 3000
+    two = {"x": Fraction(2)}
+    assert _eval("+".join(["x"] * n), two) == 2 * n
+    assert _eval("-".join(["x"] * n), two) == 2 - 2 * (n - 1)
+    assert _eval("*".join(["x"] * n), two) == 2 ** n
+    assert _eval("/".join(["x"] * n), two) == Fraction(1, 2 ** (n - 2))
+    assert _eval("x" + "^1" * n + "*3-1", two) == 5
+    with pytest.raises(ExprError, match="unknown name 'y'"):
+        _eval("+".join(["x"] * n) + "+y", two)
+    names = [f"a{i % 7}" for i in range(n)]
+    assert names_in(parse("+".join(names) + "*(b-c)^2")) == \
+        [f"a{i}" for i in range(7)] + ["b", "c"]

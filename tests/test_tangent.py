@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from germ.exactfield import make_field
+from germ import jets, tangent
+from germ.exactfield import make_extension, make_field
 from germ.germs import (
+    GROUP_TAGS,
     JetMatrix,
     MapGerm,
     RightAut,
@@ -346,3 +348,133 @@ def test_candidate_levels_never_exceed_the_levels_of_their_vectors(shape, F):
     high = [(kind, fk, repr(vec), level, exact)
             for fk, kind, vec, level, exact in _candidate_levels(F, shape) if level > exact]
     assert high == []
+
+
+# -- the one-pass comparison bound against the d-by-d search -----------------
+
+QA = make_extension(Q, "a^2-2").top
+
+
+def _bound_by_search(tag, f, j, filt):
+    """Reference: try d = 1, 2, ... below the vanishing depth, and take the
+    first d at which every canonical basis row of (full tangent image) meet
+    {order >= d} lies in the level-j image; the vanishing depth, with no
+    certificates, if none does."""
+    frame0, framej = tangent_space(tag, f, 0, filt), tangent_space(tag, f, j, filt)
+    ctx = frame0.context
+    grades = [filt.mon_order(mon) for _ in range(ctx.ncomp) for mon in ctx.ring.monomials]
+    part = frame0.basis.graded_intersections(grades)
+    top = filt.vanishing_depth()
+    for d in range(1, top):
+        rows = part(d).rows
+        coords = [framej.basis.membership(row) for row in rows]
+        if all(c is not None for c in coords):
+            return d, [{"vector": [str(c) for c in ctx.to_jets(row)],
+                        "coordinates": [str(c) for c in cs]}
+                       for row, cs in zip(rows, coords)]
+    return top, []
+
+
+def _bound_shape(name, F):
+    """(source, target, filtrations, map components) of one oracle shape;
+    the coefficient c is the generator over Q(sqrt 2), else 2."""
+    c = F.generator_env().get("a", F.from_int(2))
+    if name == "line":
+        X, Y = JetRing(F, ["x"], 5), JetRing(F, ["u"], 5)
+        filts = [filtration_make(X, "madic"), filtration_make(X, [["x^2"]])]
+        return X, Y, filts, [X.from_expr("x^2") + X.from_expr("x^3").scale(c)]
+    if name == "plane":
+        X, Y = JetRing(F, ["x", "y"], 3), JetRing(F, ["u", "v"], 3)
+        filts = [filtration_make(X, "madic"), filtration_make(X, [["x", "y^2"]])]
+        return X, Y, filts, [X.from_expr("x^2"), X.from_expr("y^2+x*y").scale(c)]
+    if name == "family":
+        X = JetRing(F, ["x"], 3, tvars=["t"], torder=2)
+        Y = JetRing(F, ["u"], 3, tvars=["t"], torder=2)
+        filts = [filtration_make(X, spec) for spec in ("madic", "tadic", [["x^2"]])]
+        return X, Y, filts, [X.from_expr("x^2+t*x") + X.from_expr("x^3").scale(c)]
+    if name == "axes":
+        # maps into the union of the two axes, uv = 0
+        X = JetRing(F, ["x", "y"], 3)
+        Y = JetRing(F, ["u", "v"], 3, ideal=[{(1, 1): F.one}])
+        return X, Y, [filtration_make(X, "madic")], [
+            X.from_expr("x^2") + X.from_expr("x*y").scale(c), X.zero]
+    if name == "quotient":
+        # x*y reduces to y^2 + y^3
+        X = JetRing(F, ["x", "y"], 3,
+                    ideal=[{(1, 1): F.one, (0, 2): -F.one, (0, 3): -F.one}])
+        Y = JetRing(F, ["u"], 3)
+        return X, Y, [filtration_make(X, "madic")], [
+            X.from_expr("x^2") + X.from_expr("y^2").scale(c)]
+    raise ValueError(name)
+
+
+@pytest.mark.parametrize("F", [Q, QA, F3], ids=["Q", "Qsqrt2", "F3"])
+@pytest.mark.parametrize("shape", ["line", "plane", "family", "axes", "quotient"])
+def test_one_pass_bound_matches_the_search_over_every_d(shape, F):
+    X, Y, filts, comps = _bound_shape(shape, F)
+    f = MapGerm(X, Y, comps)
+    tags = [t for t in GROUP_TAGS if not (t == "Klin" and Y.ideal_gens)]
+    seen = set()
+    for filt in filts:
+        for tag in tags:
+            for j in (1, 2):
+                if tag == "LR" and filt.order_of(f.components) < 1:
+                    with pytest.raises(TangentError, match="positive filtration order"):
+                        comparison_bound(tag, f, j, filt)
+                    continue
+                cb = comparison_bound(tag, f, j, filt)
+                assert (cb.bound, cb.certificates) == _bound_by_search(tag, f, j, filt), \
+                    (filt.kind, tag, j)
+                seen.add("vacuous" if cb.bound == filt.vanishing_depth()
+                         else "certified" if cb.certificates else "empty")
+    # the shape reaches a bound inside the jet window with certificates
+    assert "certified" in seen
+
+
+def test_comparison_bound_reduces_three_times(monkeypatch):
+    # the level-j span, the graded echelon of the full images and the one
+    # canonical part that the certificates print
+    X, Y = JetRing(Q, ["x", "y"], 6), JetRing(Q, ["u", "v"], 6)
+    f = MapGerm(X, Y, [X.from_expr("x^2"), X.from_expr("y^3")])
+    mad = filtration_make(X, "madic")
+    calls = []
+
+    def counting_rref(rows, field):
+        calls.append(1)
+        return rref(rows, field)
+
+    monkeypatch.setattr(jets, "rref", counting_rref)
+    cb = comparison_bound("R", f, 1, mad)
+    assert (cb.bound, len(cb.certificates)) == (4, 27)
+    assert len(calls) <= 3
+
+
+def test_candidate_levels_are_computed_once_per_rings_and_filtration(monkeypatch):
+    X, Y = JetRing(Q, ["x", "y"], 4), JetRing(Q, ["u", "v"], 4)
+    mad = filtration_make(X, "madic")
+    calls = []
+
+    def counting_least_gain(*args):
+        calls.append(1)
+        return least_gain(*args)
+
+    least_gain = tangent._least_gain
+    monkeypatch.setattr(tangent, "_least_gain", counting_least_gain)
+    first = MapGerm(X, Y, [X.from_expr("x^2"), X.from_expr("y^3")])
+    second = MapGerm(X, Y, [X.from_expr("x^2+y^4"), X.from_expr("y^3+x*y")])
+    comparison_bound("K", first, 1, mad)
+    assert calls
+    count = len(calls)
+    again = comparison_bound("K", second, 1, mad)
+    assert len(calls) == count
+    # the cached levels give what a fresh filtration computes
+    fresh = comparison_bound("K", second, 1, filtration_make(X, "madic"))
+    assert again.describe() == fresh.describe()
+    # a second target ring on the same filtration gets its own levels
+    Y1 = JetRing(Q, ["u"], 4)
+    count = len(calls)
+    other = comparison_bound("K", MapGerm(X, Y1, [X.from_expr("x^2+y^3")]), 1, mad)
+    assert len(calls) > count
+    fresh = comparison_bound("K", MapGerm(X, Y1, [X.from_expr("x^2+y^3")]), 1,
+                             filtration_make(X, "madic"))
+    assert other.describe() == fresh.describe()
