@@ -9,7 +9,10 @@ ideal's monomial multiples, so equality of jets is equality of dicts.
 The jet space is treated throughout as a finite-dimensional vector space
 over the coefficient field, with its monomials enumerated in a fixed
 (total degree, then lexicographic) order.  All subspace computations are
-plain exact row reduction in that basis; nothing here is approximate.
+plain exact row reduction in that basis, on pair rows: the (position,
+coefficient) pairs of a vector's nonzero entries.  Dense vectors are only
+views for callers that index them (``VectorContext.to_vec``,
+``SubspaceBasis.rows``, dense ``rref`` rows); nothing here is approximate.
 """
 
 from __future__ import annotations
@@ -41,10 +44,11 @@ def _mon_mul(a, b):
 # their one add loop and one multiply loop (the one power loop is
 # ``exactfield.power``).
 
-def add_terms(out: dict, terms: dict, a=None) -> dict:
+def add_terms(out: dict, terms, a=None) -> dict:
     """out += a * terms in place (``a=None`` means 1), dropping the entries
-    that cancel; returns ``out``."""
-    for key, c in terms.items():
+    that cancel; returns ``out``.  ``terms`` is a dict or a sequence of
+    (key, coefficient) pairs."""
+    for key, c in terms.items() if isinstance(terms, dict) else terms:
         if a is not None:
             c = a * c
         old = out.get(key)
@@ -532,21 +536,45 @@ class PowerTable:
 
 
 # -- exact linear algebra ---------------------------------------------------
+# Rows are dense (field elements) or pair rows ((column, value) pairs of the
+# nonzero entries, in any column order); an empty row is a zero row.
+
+def pairs_of(row) -> Sequence:
+    """The ``(column, value)`` pairs of a row's nonzero entries; a pair row
+    is returned as it is."""
+    if not row or isinstance(row[0], tuple):
+        return row
+    return [(j, c) for j, c in enumerate(row) if not c.is_zero()]
+
+
+def _dense(pairs, ncols: int, zero) -> tuple:
+    vec = [zero] * ncols
+    for j, c in pairs:
+        vec[j] = c
+    return tuple(vec)
+
 
 def rref(rows: Iterable[Sequence], field: Field):
     """Reduced row echelon form with leading-1 pivots; returns (rows, pivots).
 
-    Takes and returns dense rows, but works on nonzero entries only: each
-    row becomes a ``{column: value}`` dict and is reduced, as it arrives,
-    against the pivot rows found so far, which stay reduced against each
-    other.  The RREF of a matrix over a field is unique, so neither the
-    row order nor the elimination order shows in the result.
+    Takes dense rows of one length, or pair rows, and returns the reduced
+    rows in the same form, pair rows sorted by column.  Either way it works
+    on nonzero entries only: each row becomes a ``{column: value}`` dict
+    and is reduced, as it arrives, against the pivot rows found so far,
+    which stay reduced against each other.  The RREF of a matrix over a
+    field is unique, so neither the row order nor the elimination order
+    shows in the result.
     """
-    ncols = 0
+    width = None  # the dense row length, -1 for pair rows
     basis = {}  # pivot column -> row with a leading 1 there
-    for dense in rows:
-        ncols = len(dense)
-        row = {j: c for j, c in enumerate(dense) if not c.is_zero()}
+    for i, given in enumerate(rows):
+        if not given:
+            continue
+        n = -1 if isinstance(given[0], tuple) else len(given)
+        if width not in (None, n):
+            raise JetError(f"rref row {i} differs in length or form from the rows before it")
+        width = n
+        row = dict(given) if n < 0 else {j: c for j, c in enumerate(given) if not c.is_zero()}
         # pivot rows vanish on each other's pivot columns, so subtracting
         # one leaves the row's other pivot entries as they were
         for p in [p for p in row if p in basis]:
@@ -562,37 +590,14 @@ def rref(rows: Iterable[Sequence], field: Field):
                 add_terms(other, row, -c)
         basis[col] = row
     pivots = sorted(basis)
-    reduced = []
-    for p in pivots:
-        dense = [field.zero] * ncols
-        for j, c in basis[p].items():
-            dense[j] = c
-        reduced.append(tuple(dense))
-    return reduced, pivots
-
-
-def _nonzeros(row: Sequence):
-    """The ``(column, value)`` pairs of a dense row's nonzero entries."""
-    return [(j, c) for j, c in enumerate(row) if not c.is_zero()]
-
-
-def reduce_vec(vec: Sequence, rows, pivots, field: Field):
-    """Reduce ``vec`` against RREF rows given by their nonzero
-    ``(column, value)`` pairs (see ``_nonzeros``); returns (residual, coords)."""
-    v = list(vec)
-    coords = []
-    for row, pivot in zip(rows, pivots):
-        c = v[pivot]
-        coords.append(c)
-        if not c.is_zero():
-            neg = -c
-            for j, r in row:
-                v[j] = v[j] + neg * r
-    return v, coords
+    if width not in (None, -1):
+        return [_dense(basis[p].items(), width, field.zero) for p in pivots], pivots
+    return [tuple(sorted(basis[p].items())) for p in pivots], pivots
 
 
 def nullspace(rows: Iterable[Sequence], ncols: int, field: Field):
-    """Kernel basis of the linear map given by ``rows`` acting on k^ncols."""
+    """Kernel basis of the linear map given by ``rows`` (dense or pair rows)
+    acting on k^ncols, as dense vectors."""
     reduced, pivots = rref(rows, field)
     pivot_set = set(pivots)
     kernel = {}
@@ -603,7 +608,7 @@ def nullspace(rows: Iterable[Sequence], ncols: int, field: Field):
     # an RREF row is zero on the other pivot columns, so each of its
     # nonzeros off its own pivot sits in a free column
     for row, pivot in zip(reduced, pivots):
-        for f, c in _nonzeros(row):
+        for f, c in pairs_of(row):
             if f != pivot:
                 kernel[f][pivot] = -c
     return [tuple(vec) for vec in kernel.values()]
@@ -634,46 +639,42 @@ def solve_columns(cols: Sequence[Sequence], target: Sequence, field: Field):
 
 
 class VectorContext:
-    """Identifies tuples of jets with dense coefficient vectors."""
+    """Identifies tuples of jets with vectors: ``to_pairs`` gives the pair
+    row of their nonzero coefficients, ``to_vec`` its dense expansion."""
 
     def __init__(self, ring: JetRing, ncomp: int):
         self.ring = ring
         self.ncomp = ncomp
         self.dim = ring.dim * ncomp
 
-    def to_vec(self, jets) -> tuple:
+    def to_pairs(self, jets) -> tuple:
         if isinstance(jets, Jet):
             jets = (jets,)
         if len(jets) != self.ncomp:
             raise JetError(f"expected {self.ncomp} components, got {len(jets)}")
-        vec = [self.ring.field.zero] * self.dim
-        for c, jet in enumerate(jets):
-            base = c * self.ring.dim
-            for mon, coeff in jet.coeffs.items():
-                vec[base + self.ring.mon_index[mon]] = coeff
-        return tuple(vec)
+        index, dim = self.ring.mon_index, self.ring.dim
+        return tuple((c * dim + index[mon], coeff)
+                     for c, jet in enumerate(jets) for mon, coeff in jet.coeffs.items())
 
-    def to_jets(self, vec) -> tuple:
-        out = []
-        for c in range(self.ncomp):
-            base = c * self.ring.dim
-            coeffs = {}
-            for i, mon in enumerate(self.ring.monomials):
-                v = vec[base + i]
-                if not v.is_zero():
-                    coeffs[mon] = v
-            out.append(Jet(self.ring, coeffs))
-        return tuple(out)
+    def to_vec(self, jets) -> tuple:
+        return self.dense(self.to_pairs(jets))
+
+    def dense(self, row) -> tuple:
+        """The dense vector of a pair row."""
+        return _dense(row, self.dim, self.ring.field.zero)
+
+    def to_jets(self, row) -> tuple:
+        """The jets of a dense or pair row."""
+        dim, mons = self.ring.dim, self.ring.monomials
+        coeffs = [{} for _ in range(self.ncomp)]
+        for p, c in pairs_of(row):
+            coeffs[p // dim][mons[p % dim]] = c
+        return tuple(Jet(self.ring, cs) for cs in coeffs)
 
     def positions_in(self, monset) -> set:
         """Vector positions whose monomial lies in ``monset``."""
-        out = set()
-        for c in range(self.ncomp):
-            base = c * self.ring.dim
-            for i, mon in enumerate(self.ring.monomials):
-                if mon in monset:
-                    out.add(base + i)
-        return out
+        return {c * self.ring.dim + i for c in range(self.ncomp)
+                for i, mon in enumerate(self.ring.monomials) if mon in monset}
 
     def __eq__(self, other):
         return (isinstance(other, VectorContext) and other.ncomp == self.ncomp
@@ -681,42 +682,43 @@ class VectorContext:
 
 
 class SubspaceBasis:
-    """A subspace of a jet (tuple) space, held in reduced row echelon form."""
+    """A subspace of a jet (tuple) space, held in reduced row echelon form
+    as pair rows sorted by column; ``rows`` is their dense view."""
 
-    def __init__(self, context: VectorContext, rows, pivots):
+    def __init__(self, context: VectorContext, sparse_rows, pivots):
         self.context = context
-        self.rows = rows
+        self.sparse_rows = sparse_rows
         self.pivots = pivots
 
     @classmethod
     def span(cls, context: VectorContext, vectors):
-        rows, pivots = rref(vectors, context.ring.field)
+        """The span of dense or pair rows."""
+        rows, pivots = rref([pairs_of(v) for v in vectors], context.ring.field)
         return cls(context, rows, pivots)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self.sparse_rows)
 
     @cached_property
-    def sparse_rows(self):
-        """Each row as the ``(position, value)`` pairs of its nonzeros."""
-        return [_nonzeros(row) for row in self.rows]
+    def rows(self):
+        return [self.context.dense(row) for row in self.sparse_rows]
 
     def membership(self, vec):
-        """Coordinates of ``vec`` in this basis, or None if outside."""
-        residual, coords = reduce_vec(vec, self.sparse_rows, self.pivots,
-                                      self.context.ring.field)
-        if any(not c.is_zero() for c in residual):
-            return None
-        return coords
-
-    def residual(self, vec):
-        res, _ = reduce_vec(vec, self.sparse_rows, self.pivots, self.context.ring.field)
-        return res
+        """Coordinates of ``vec``, a dense or pair row, in this basis, or
+        None if outside."""
+        v, zero = dict(pairs_of(vec)), self.context.ring.field.zero
+        # the rows vanish on each other's pivots: the coordinates are the
+        # entries of vec there
+        coords = [v.get(p, zero) for p in self.pivots]
+        for row, c in zip(self.sparse_rows, coords):
+            if c is not zero:
+                add_terms(v, row, -c)
+        return None if v else coords
 
     def graded_intersections(self, grades: Sequence):
         """``graded_intersections`` of this subspace, from its rows."""
-        return graded_intersections(self.context, self.rows, grades)
+        return graded_intersections(self.context, self.sparse_rows, grades)
 
     def intersect_positions(self, allowed: set) -> "SubspaceBasis":
         """Intersection with the coordinate subspace supported on ``allowed``."""
@@ -724,33 +726,35 @@ class SubspaceBasis:
         return self.graded_intersections(grades)(1)
 
     def basis_jets(self):
-        return [self.context.to_jets(row) for row in self.rows]
+        return [self.context.to_jets(row) for row in self.sparse_rows]
 
     def __eq__(self, other):
         return (isinstance(other, SubspaceBasis) and other.context == self.context
-                and other.rows == self.rows)
+                and other.sparse_rows == self.sparse_rows)
 
     def __repr__(self):
         return f"<subspace rank {self.rank} in dim {self.context.dim}>"
 
 
 def graded_intersections(context: VectorContext, vectors, grades: Sequence):
-    """Intersections of the span of ``vectors`` with the coordinate subspaces
-    {grade >= d}, for every d, from one row reduction of any spanning set.
+    """Intersections of the span of ``vectors`` (dense or pair rows) with the
+    coordinate subspaces {grade >= d}, for every d, from one row reduction
+    of any spanning set.
 
     ``grades`` holds one grade per vector position.  With the columns
     ordered by increasing grade, each {grade < d} block is a prefix, so the
     rows of the graded echelon whose pivot has grade >= d span the vectors
-    of the subspace supported on {grade >= d}.  Returns ``part(d)``, which
-    reduces those rows again in the original column order, so each part
-    has its canonical basis; ``part.graded`` holds the graded rows in the
-    original column order, as ``(grade, row)`` pairs by increasing grade.
+    of the subspace supported on {grade >= d}; the reordering only renames
+    the columns of pair rows.  Returns ``part(d)``, which reduces those rows
+    again in the original column order, so each part has its canonical
+    basis; ``part.graded`` holds the graded pair rows in the original
+    columns, as ``(grade, row)`` pairs by increasing grade.
     """
-    dim, field = context.dim, context.ring.field
-    perm = sorted(range(dim), key=lambda j: grades[j])
-    inv = sorted(range(dim), key=perm.__getitem__)  # old position -> new
-    reduced, pivots = rref([[row[old] for old in perm] for row in vectors], field)
-    graded = [(grades[perm[pivot]], tuple(row[inv[j]] for j in range(dim)))
+    perm = sorted(range(context.dim), key=grades.__getitem__)  # new position -> old
+    new = {old: j for j, old in enumerate(perm)}
+    field = context.ring.field
+    reduced, pivots = rref([[(new[j], c) for j, c in pairs_of(row)] for row in vectors], field)
+    graded = [(grades[perm[pivot]], tuple((perm[j], c) for j, c in row))
               for row, pivot in zip(reduced, pivots)]
 
     def part(d) -> SubspaceBasis:
@@ -761,30 +765,22 @@ def graded_intersections(context: VectorContext, vectors, grades: Sequence):
     return part
 
 
-def ideal_span(gens, ring: JetRing, ncomp: int = 1) -> SubspaceBasis:
+def ideal_span(gens, ring: JetRing) -> SubspaceBasis:
     """Span of all monomial multiples of ``gens`` inside the jet space.
 
     The multipliers have coefficient ``ring.field.one``, so generators with
     field coefficients span over the field also in a ring whose domain is
     larger (the polynomial-coefficient rings of ``compile_system``).
     """
-    if ncomp != 1:
-        raise JetError("ideal_span works on scalar jets")
     context = VectorContext(ring, 1)
-    rows = []
-    for g in gens:
-        g = ring.jet(g) if not isinstance(g, Jet) else g
-        for mon in ring.monomials:
-            prod = g * ring.monomial(mon, ring.field.one)
-            if not prod.is_zero():
-                rows.append(context.to_vec(prod))
-    reduced, pivots = rref(rows, ring.field)
-    return SubspaceBasis(context, reduced, pivots)
+    gens = [ring.jet(g) if not isinstance(g, Jet) else g for g in gens]
+    return SubspaceBasis.span(context, [context.to_pairs(g * ring.monomial(mon, ring.field.one))
+                                        for g in gens for mon in ring.monomials])
 
 
 def membership(v, basis: SubspaceBasis):
     if isinstance(v, Jet) or (v and isinstance(v[0], Jet)):
-        v = basis.context.to_vec(v)
+        v = basis.context.to_pairs(v)
     return basis.membership(v)
 
 

@@ -34,8 +34,8 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .jets import (
-    Jet, JetRing, Filtration, PowerTable, VectorContext, SubspaceBasis,
-    graded_intersections, ideal_span, nullspace, solve_columns, _mon_mul,
+    Jet, JetRing, Filtration, PowerTable, VectorContext, SubspaceBasis, add_terms,
+    graded_intersections, nullspace, solve_columns, _mon_mul,
 )
 from .germs import (
     GROUP_FACTORS, MapGerm, GroupElement, RightAut, LeftAut, JetMatrix, Contact, Pair,
@@ -99,11 +99,8 @@ class _Derivation(TangentVector):
         return new
 
     def derive(self, h: Jet) -> Jet:
-        out = self.ring.zero
-        for name, a in zip(self.names, self.comps):
-            if not a.is_zero():
-                out = out + a * h.derivative(name)
-        return out
+        return self.ring.combination((None, a * h.derivative(name))
+                                     for name, a in zip(self.names, self.comps) if not a.is_zero())
 
     def flow(self):
         """The components of the flow at time 1 (``_exp_derivation``)."""
@@ -335,46 +332,43 @@ def der_log(ring: JetRing, include_constants: bool = True):
     """
     raw = ring.raw()
     gens = ring.ideal_gen_jets()
-    cands = []
-    for mon in raw.monomials:
-        if not include_constants and sum(mon) == 0:
-            continue
-        for i in range(raw.nx):
-            cands.append((mon, i))
+    cands = [(raw.jet({mon: raw.domain.one}), i) for mon in raw.monomials
+             if include_constants or sum(mon) for i in range(raw.nx)]
     if not gens:
-        return [DerVector(raw, [raw.jet({mon: raw.domain.one}) if l == i else raw.zero
-                                for l in range(raw.nx)])
-                for mon, i in cands]
-    span = ideal_span(gens, raw)
-    ctx = VectorContext(raw, 1)
-    cols = []
-    for mon, i in cands:
-        coeff = raw.jet({mon: raw.domain.one})
-        cols.append([e for g in gens
-                     for e in span.residual(ctx.to_vec(coeff * g.derivative(raw.xvars[i])))])
+        return [DerVector(raw, [m if l == i else raw.zero for l in range(raw.nx)])
+                for m, i in cands]
+    # a jet of ``ring`` is reduced against the ideal's echelon rows, so it
+    # is the residual of its raw form modulo the ideal span
+    ctx = VectorContext(ring, len(gens))
+    cols = [ctx.to_pairs(tuple(ring.jet((m * g.derivative(raw.xvars[i])).coeffs) for g in gens))
+            for m, i in cands]
     out = []
-    for vec in nullspace(zip(*cols), len(cands), raw.field):
+    for vec in nullspace(_transposed(cols), len(cands), raw.field):
         comps = [raw.zero] * raw.nx
-        for c, (mon, i) in zip(vec, cands):
+        for c, (m, i) in zip(vec, cands):
             if not c.is_zero():
-                comps[i] = comps[i] + raw.jet({mon: raw.domain.one}).scale(c)
+                comps[i] = comps[i] + m.scale(c)
         out.append(DerVector(raw, comps))
     return out
 
 
 def _log_images(vec: _Derivation, gens):
-    """For each ideal generator g, sum c_i * dg/dn_i as a dense vector of
-    ``vec.ring``: zero exactly when the derivation keeps g in the ideal."""
+    """The tuple over the ideal generators g of sum c_i * dg/dn_i, as a pair
+    row: empty exactly when the derivation keeps every g in the ideal."""
     ring = vec.ring
-    ctx = VectorContext(ring, 1)
-    images = []
-    for g in gens:
-        val = ring.zero
-        for name, c in zip(vec.names, vec.comps):
-            if not c.is_zero():
-                val = val + c * _reindex(g.derivative(name), ring)
-        images.extend(ctx.to_vec(val))
-    return images
+    return VectorContext(ring, len(gens)).to_pairs(tuple(
+        ring.combination((None, c * _reindex(g.derivative(name), ring))
+                         for name, c in zip(vec.names, vec.comps) if not c.is_zero())
+        for g in gens))
+
+
+def _transposed(cols):
+    """The pair rows of the matrix with the pair rows ``cols`` as columns."""
+    rows = {}
+    for k, col in enumerate(cols):
+        for p, c in col:
+            rows.setdefault(p, []).append((k, c))
+    return list(rows.values())
 
 
 # -- candidate generation with levels ---------------------------------------
@@ -408,8 +402,15 @@ def _candidates(kind: str, source: JetRing, target: JetRing,
     in the level-j subgroup's tangent exactly when it is at least j.  A
     target-side monomial w = x^a t^c y^beta (a matrix entry: beta = (1,))
     takes test monomials v_k of order >= d to x^a t^c prod v_k^beta_k.
-    The filtration caches the levels per kind and rings, not the vectors.
+    The filtration caches the list per kind and rings, so the vectors, and
+    for C the joint ring they live on, are shared between calls; none of
+    them is changed in place (``add`` and ``scale`` return new vectors).
     """
+    key = (kind, source, target)
+    if key in filt._cache:
+        return filt._cache[key]
+    if kind == "C" and joint is None:
+        joint = product_ring(source, target)
     ring, identity, mons, _ = factor_layout(kind, source, target, joint)
     width = len(identity)
 
@@ -433,31 +434,34 @@ def _candidates(kind: str, source: JetRing, target: JetRing,
                         for mu in source.monomials if mu[i]))
                 yield level
 
-    key, out = (kind, source, target), []
-    if key not in filt._cache:
-        filt._cache[key] = list(levels())
-    for level, (w, i) in zip(filt._cache[key], itertools.product(mons, range(width))):
+    out = filt._cache[key] = []
+    for level, (w, i) in zip(levels(), itertools.product(mons, range(width))):
         comps = [ring.jet({w: ring.domain.one}) if l == i else ring.zero for l in range(width)]
         out.append((level, _vector(kind, comps, source, target, joint)))
     return out
 
 
 class TangentFrame:
-    """Generating tangent vectors for a group at a map, with their images."""
+    """Generating tangent vectors for a group at a map, with their images
+    as pair rows (``sparse_images``); ``images`` is their dense view."""
 
-    def __init__(self, tag: str, f: MapGerm, level: int, filt: Filtration, entries, images):
+    def __init__(self, tag: str, f: MapGerm, level: int, filt: Filtration, entries, sparse_images):
         self.tag = tag
         self.f = f
         self.level = level
         self.filt = filt
         self.entries = entries
-        self.images = images
+        self.sparse_images = sparse_images
         self.context = f.context()
+
+    @cached_property
+    def images(self) -> list:
+        return [self.context.dense(row) for row in self.sparse_images]
 
     @cached_property
     def basis(self) -> SubspaceBasis:
         """The span of the images in reduced echelon form, built on first read."""
-        return SubspaceBasis.span(self.context, self.images)
+        return SubspaceBasis.span(self.context, self.sparse_images)
 
     @property
     def rank(self) -> int:
@@ -526,7 +530,6 @@ def _frames(tag: str, f: MapGerm, filt: Filtration, levels) -> list:
     kinds = GROUP_FACTORS[tag]
     if "Mat" in kinds and target.ideal_gens:
         raise TangentError("matrix contact equivalence needs a smooth target")
-    joint = product_ring(source, target) if "C" in kinds else None
     ctx = f.context()
     field = source.field
 
@@ -536,9 +539,9 @@ def _frames(tag: str, f: MapGerm, filt: Filtration, levels) -> list:
     pool = {}  # kind -> [(level, vector, image, side-condition column)]
     for kind in kinds:
         gens = () if kind == "Mat" else (source if kind == "R" else target).ideal_gen_jets()
-        pool[kind] = [(level, vec, ctx.to_vec(tuple(vec.apply(f))),
+        pool[kind] = [(level, vec, ctx.to_pairs(vec.apply(f)),
                        _log_images(vec, gens) if gens else None)
-                      for level, vec in _candidates(kind, source, target, joint, filt)
+                      for level, vec in _candidates(kind, source, target, None, filt)
                       if keep(level, least)]
     frames = []
     for j in levels:
@@ -546,20 +549,20 @@ def _frames(tag: str, f: MapGerm, filt: Filtration, levels) -> list:
         for kind, cands in pool.items():
             cands = [c for c in cands if keep(c[0], j)]
             cols = [c[3] for c in cands]
-            if not cands or cols[0] is None or all(e.is_zero() for col in cols for e in col):
+            if not cands or cols[0] is None or not any(cols):
                 entries.extend(c[1] for c in cands)
                 images.extend(c[2] for c in cands)
                 continue
-            for coeffs in nullspace(zip(*cols), len(cands), field):
-                total, image = None, [field.zero] * ctx.dim
+            for coeffs in nullspace(_transposed(cols), len(cands), field):
+                total, image = None, {}
                 for a, (_, vec, img, _) in zip(coeffs, cands):
                     if not a.is_zero():
                         piece = vec.scale(a)
                         total = piece if total is None else total.add(piece)
-                        image = [x + a * y for x, y in zip(image, img)]
+                        add_terms(image, img, a)
                 if total is not None and not total.is_zero():
                     entries.append(total)
-                    images.append(tuple(image))
+                    images.append(tuple(image.items()))
         frames.append(TangentFrame(tag, f, j, filt, entries, images))
     return frames
 
@@ -625,10 +628,10 @@ def comparison_bound(tag: str, f: MapGerm, j: int, filt: Filtration) -> Comparis
     frame0, framej = _frames(tag, f, filt, (0, j))
     ctx = frame0.context
     grades = [filt.mon_order(mon) for _ in range(ctx.ncomp) for mon in ctx.ring.monomials]
-    order_at_least = graded_intersections(ctx, frame0.images, grades)
+    order_at_least = graded_intersections(ctx, frame0.sparse_images, grades)
     d = 1 + next((g for g, row in reversed(order_at_least.graded)
                   if g >= 1 and framej.basis.membership(row) is None), 0)
     return ComparisonBound(tag, j, d, [
         {"vector": [str(c) for c in ctx.to_jets(row)],
          "coordinates": [str(c) for c in framej.basis.membership(row)]}
-        for row in order_at_least(d).rows])
+        for row in order_at_least(d).sparse_rows])

@@ -418,3 +418,63 @@ def test_the_product_in_a_quotient_is_the_reduced_raw_product(fname, gen, raw_a,
     reduced = ring._reduce_mod_ideal(dict(product.coeffs))
     assert (ring.jet(a) * ring.jet(b)).coeffs == reduced
     assert _no_zero_coefficient(ring.jet(a) * ring.jet(b))
+
+
+# -- pair rows ------------------------------------------------------------------
+
+def _pair_rows(rows):
+    return [[(j, c) for j, c in enumerate(row) if not c.is_zero()] for row in rows]
+
+
+def test_rref_refuses_ragged_dense_rows():
+    with pytest.raises(JetError, match="row 1"):
+        rref([[Q.zero, Q.zero, Q.one], [Q.one, Q.zero]], Q)
+    # a pair row after dense rows is refused the same way
+    with pytest.raises(JetError, match="row 2"):
+        rref([[Q.one, Q.zero], [], [(0, Q.one)]], Q)
+    # an empty row is a zero row of either form
+    assert rref([[], [(2, Q.from_int(3))], []], Q) == ([((2, Q.one),)], [2])
+    assert rref([[Q.zero, Q.from_int(2)], []], Q) == ([(Q.zero, Q.one)], [1])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(matrices())
+@example((Q, 3, []))
+@example((F5, 0, [[], []]))
+@example((Q, 3, [[Q.zero] * 3, [Q.zero] * 3]))
+@example((F5, 4, [[F5.zero] * 4, [F5.zero, F5.zero, F5.one, F5.from_int(3)], [F5.zero] * 4]))
+@example((F5, 2, [[F5.one, F5.from_int(2)]] * 3))
+def test_pair_rows_reduce_to_the_dense_rows(case):
+    field, ncols, rows = case
+    dense_rows, dense_pivots = rref(rows, field)
+    got_rows, got_pivots = rref(_pair_rows(rows), field)
+    want, want_pivots = _oracle(field, ncols, rows).rref()
+    assert list(got_pivots) == list(dense_pivots) == list(want_pivots)
+    # pair rows come back sorted by column, with no zero entry
+    assert got_rows == [tuple(pairs) for pairs in _pair_rows(dense_rows)]
+    want_rows = want.to_list()[:len(want_pivots)]
+    expanded = [[dict(row).get(j, field.zero) for j in range(ncols)] for row in got_rows]
+    assert [[_value(e) for e in row] for row in expanded] == \
+        [[_value(e) for e in row] for row in want_rows]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(matrices(min_cols=2), st.lists(ENTRIES, min_size=6, max_size=6),
+       st.lists(st.sampled_from([0, 1, -1, 2]), min_size=6, max_size=6))
+@example((Q, 2, []), [(1, 1)] * 6, [0] * 6)
+@example((F5, 3, [[F5.zero] * 3]), [(0, 1)] * 6, [1] * 6)
+def test_membership_of_pair_and_dense_vectors_agrees(case, loose, weights):
+    field, ncols, rows = case
+    from_dense = _span_basis(field, ncols, rows)
+    from_pairs = _span_basis(field, ncols, _pair_rows(rows))
+    assert from_pairs == from_dense and from_pairs.rows == from_dense.rows
+    inside = [field.zero] * ncols
+    for w, row in zip(weights, rows):
+        inside = [a + field.from_int(w) * b for a, b in zip(inside, row)]
+    outside = [_scalar(field, e) for e in loose[:ncols]]
+    for vec in (inside, outside):
+        (pairs,) = _pair_rows([vec])
+        coords = from_pairs.membership(pairs)
+        assert coords == from_dense.membership(vec)
+        grows = _oracle(field, ncols, rows + [vec]).rank() > from_dense.rank
+        assert (coords is None) == grows

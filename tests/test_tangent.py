@@ -478,3 +478,61 @@ def test_candidate_levels_are_computed_once_per_rings_and_filtration(monkeypatch
     fresh = comparison_bound("K", MapGerm(X, Y1, [X.from_expr("x^2+y^3")]), 1,
                              filtration_make(X, "madic"))
     assert other.describe() == fresh.describe()
+
+
+def _is_pair_row(row):
+    return all(isinstance(e, tuple) and len(e) == 2 and isinstance(e[0], int)
+               and not e[1].is_zero() for e in row)
+
+
+@pytest.mark.parametrize("shape", ["plane", "quotient"])
+def test_comparison_bound_builds_no_dense_row(monkeypatch, shape):
+    # rref gets pair rows only, and no dense vector is built or scanned on
+    # the way from the tangent images to the certificates
+    X, Y, filts, comps = _bound_shape(shape, Q)
+    f = MapGerm(X, Y, comps)
+    seen, dense = [], []
+
+    def recording_rref(rows, field):
+        rows = [list(row) for row in rows]
+        seen.extend(rows)
+        return rref(rows, field)
+
+    def recording_pairs_of(row):
+        if row and not isinstance(row[0], tuple):
+            dense.append(row)
+        return pairs_of(row)
+
+    def recording_dense(ctx, row):
+        dense.append(row)
+        return to_dense(ctx, row)
+
+    pairs_of, to_dense = jets.pairs_of, jets.VectorContext.dense
+    monkeypatch.setattr(jets, "rref", recording_rref)
+    monkeypatch.setattr(jets, "pairs_of", recording_pairs_of)
+    monkeypatch.setattr(jets.VectorContext, "dense", recording_dense)
+    bounds = [comparison_bound(tag, f, 1, filts[0]) for tag in GROUP_TAGS]
+    assert any(cb.certificates for cb in bounds)
+    assert any(seen)
+    assert [row for row in seen if not _is_pair_row(row)] == []
+    assert dense == []
+
+
+@pytest.mark.parametrize("shape", ["plane", "quotient"])
+def test_frame_images_are_the_dense_images_of_their_entries(shape):
+    X, Y, filts, comps = _bound_shape(shape, Q)
+    f = MapGerm(X, Y, comps)
+    ctx = f.context()
+    for tag in GROUP_TAGS:
+        for j in (0, 1, 2):
+            frame = tangent_space(tag, f, j, filts[0])
+            assert len(frame.images) == len(frame.sparse_images) == len(frame.entries)
+            for entry, image, pairs in zip(frame.entries, frame.images, frame.sparse_images):
+                assert image == ctx.to_vec(entry.apply(f)) == ctx.dense(pairs)
+                assert _is_pair_row(pairs)
+    if shape == "quotient":
+        # on xy = y^2 + y^3 the source vectors are kernel combinations of
+        # the monomial candidates, not the candidates themselves
+        frame = tangent_space("R", f, 1, filts[0])
+        cands = {id(vec) for _, vec in _candidates("R", X, Y, None, filts[0])}
+        assert any(id(e) not in cands for e in frame.entries)
